@@ -45,6 +45,42 @@ grep -q '"links_admitted"' "$CHAOS_JSON"
 grep -q '"waves_committed"' "$CHAOS_JSON"
 rm -f "$CHAOS_JSON"
 
+echo "== flag-check smoke: a rejected command line leaves its files alone =="
+# Run commands validate every flag before they open a sink: a bad flag
+# must exit 2 without truncating the --journal or --manifest it names
+# or creating the --checkpoint directory.
+KEEP_DIR="$(mktemp -d)"
+printf 'precious\n' > "$KEEP_DIR/journal.jsonl"
+printf 'precious\n' > "$KEEP_DIR/manifest.json"
+RC=0
+dune exec bin/rwc.exe -- chaos --days 1 --journal "$KEEP_DIR/journal.jsonl" \
+  --manifest "$KEEP_DIR/manifest.json" --factor=-1 2>/dev/null || RC=$?
+[ "$RC" -eq 2 ]
+RC=0
+dune exec bin/rwc.exe -- simulate --days 1 \
+  --journal "$KEEP_DIR/journal.jsonl" --manifest "$KEEP_DIR/manifest.json" \
+  --checkpoint "$KEEP_DIR/ckpt" --checkpoint-every 0 2>/dev/null || RC=$?
+[ "$RC" -eq 2 ]
+# An unreadable --backbone file is a bad flag too, with or without
+# --resume, for simulate and serve alike.
+for RESUME in "" --resume; do
+  RC=0
+  dune exec bin/rwc.exe -- simulate --days 1 \
+    --journal "$KEEP_DIR/journal.jsonl" --manifest "$KEEP_DIR/manifest.json" \
+    --checkpoint "$KEEP_DIR/ckpt" $RESUME \
+    --backbone "$KEEP_DIR/missing.txt" 2>/dev/null || RC=$?
+  [ "$RC" -eq 2 ]
+done
+RC=0
+dune exec bin/rwc.exe -- serve --stdio --days 1 \
+  --journal "$KEEP_DIR/journal.jsonl" --checkpoint "$KEEP_DIR/ckpt" \
+  --backbone "$KEEP_DIR/missing.txt" < /dev/null 2>/dev/null || RC=$?
+[ "$RC" -eq 2 ]
+[ "$(cat "$KEEP_DIR/journal.jsonl")" = precious ]
+[ "$(cat "$KEEP_DIR/manifest.json")" = precious ]
+[ ! -e "$KEEP_DIR/ckpt" ]
+rm -rf "$KEEP_DIR"
+
 echo "== guard smoke: rwc simulate --days 2 --faults default --guard default =="
 dune exec bin/rwc.exe -- simulate --days 2 --faults default --guard default \
   --metrics /dev/null
@@ -162,6 +198,30 @@ kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 ls "$SERVE_DIR/ckpt" | grep -q 'ckpt-'
 [ ! -e "$SERVE_SOCK" ]
+
+echo "== serve resume smoke: the stopped daemon resumes byte-identical to batch =="
+# Restart the same daemon with --resume on its checkpoint directory and
+# let the run finish (the report line is printed once it completes and
+# the journal is closed), then shut it down over RPC.  The resumed
+# report line and journal must match a batch simulate with the same
+# flags byte for byte.
+"$RWC" serve --days 60 --policy adaptive-stock --faults default \
+  --guard default --slo default --journal "$SERVE_DIR/journal.jsonl" \
+  --socket "$SERVE_SOCK" --checkpoint "$SERVE_DIR/ckpt" --resume \
+  > "$SERVE_DIR/resumed.out" &
+SERVE_PID=$!
+for _ in $(seq 1 100); do [ -S "$SERVE_SOCK" ] && break; sleep 0.1; done
+[ -S "$SERVE_SOCK" ]
+for _ in $(seq 1 1500); do [ -s "$SERVE_DIR/resumed.out" ] && break; sleep 0.2; done
+"$RWC" watch --socket "$SERVE_SOCK" --rpc server.shutdown > /dev/null
+wait "$SERVE_PID"
+# A resume from a checkpoint (not a scratch restart) records its mark.
+[ -s "$SERVE_DIR/ckpt/resumed.txt" ]
+"$RWC" simulate --days 60 --policy adaptive-stock --faults default \
+  --guard default --slo default --journal "$SERVE_DIR/batch.jsonl" \
+  > "$SERVE_DIR/batch.out"
+diff "$SERVE_DIR/batch.out" "$SERVE_DIR/resumed.out"
+cmp "$SERVE_DIR/batch.jsonl" "$SERVE_DIR/journal.jsonl"
 rm -rf "$SERVE_DIR"
 
 echo "== serve rollout smoke: propose/approve RPCs, forced gate, rollback =="

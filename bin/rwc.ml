@@ -335,26 +335,26 @@ let analyze_cmd =
     (Cmd.info "analyze" ~doc:"Fleet-wide SNR telemetry analysis (Section 2)")
     Term.(const run_analyze $ obs_term $ cables_arg $ years_arg $ seed_arg)
 
-(* ---- simulate -------------------------------------------------------- *)
+(* ---- run flags --------------------------------------------------------- *)
+
+(* A converter from a flag grammar's parser and printer. *)
+let flag_conv of_string to_string =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun e -> `Msg e) (of_string s)),
+      fun fmt p -> Format.pp_print_string fmt (to_string p) )
 
 let policy_conv =
-  let parse = function
-    | "static-100" -> Ok Rwc_sim.Runner.Static_100
-    | "static-max" -> Ok Rwc_sim.Runner.Static_max
-    | "adaptive-stock" -> Ok (Rwc_sim.Runner.Adaptive Rwc_sim.Runner.Stock)
-    | "adaptive-efficient" ->
-        Ok (Rwc_sim.Runner.Adaptive Rwc_sim.Runner.Efficient)
-    | s -> Error (`Msg (Printf.sprintf "unknown policy %S" s))
-  in
-  Arg.conv (parse, fun fmt p -> Format.fprintf fmt "%s" (Rwc_sim.Runner.policy_name p))
+  flag_conv
+    (function
+      | "static-100" -> Ok Rwc_sim.Runner.Static_100
+      | "static-max" -> Ok Rwc_sim.Runner.Static_max
+      | "adaptive-stock" -> Ok (Rwc_sim.Runner.Adaptive Rwc_sim.Runner.Stock)
+      | "adaptive-efficient" ->
+          Ok (Rwc_sim.Runner.Adaptive Rwc_sim.Runner.Efficient)
+      | s -> Error (Printf.sprintf "unknown policy %S" s))
+    Rwc_sim.Runner.policy_name
 
-let faults_conv =
-  let parse s =
-    match Rwc_fault.of_string s with
-    | Ok plan -> Ok plan
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv (parse, fun fmt p -> Format.fprintf fmt "%s" (Rwc_fault.to_string p))
+let faults_conv = flag_conv Rwc_fault.of_string Rwc_fault.to_string
 
 let faults_arg =
   Arg.(
@@ -367,13 +367,7 @@ let faults_arg =
            $(b,bvt-fail=0.3,te-delay=0.1:1800,seed=99).  With $(b,none) the \
            run is bit-identical to one without the fault layer.")
 
-let storm_conv =
-  let parse s =
-    match Rwc_storm.plan_of_string s with
-    | Ok plan -> Ok plan
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv (parse, fun fmt p -> Format.fprintf fmt "%s" (Rwc_fault.to_string p))
+let storm_conv = flag_conv Rwc_storm.plan_of_string Rwc_fault.to_string
 
 let storm_arg =
   Arg.(
@@ -392,13 +386,7 @@ let storm_arg =
            with $(b,--checkpoint); use $(b,rwc torture) for crash-recovery \
            testing.")
 
-let guard_conv =
-  let parse s =
-    match Rwc_guard.of_string s with
-    | Ok plan -> Ok plan
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv (parse, fun fmt p -> Format.fprintf fmt "%s" (Rwc_guard.to_string p))
+let guard_conv = flag_conv Rwc_guard.of_string Rwc_guard.to_string
 
 let guard_arg =
   Arg.(
@@ -413,14 +401,7 @@ let guard_arg =
            osc-cycles, hold).  With $(b,none) the run is bit-identical to \
            one without the guard layer.")
 
-let rollout_conv =
-  let parse s =
-    match Rwc_rollout.of_string s with
-    | Ok plan -> Ok plan
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv
-    (parse, fun fmt p -> Format.fprintf fmt "%s" (Rwc_rollout.to_string p))
+let rollout_conv = flag_conv Rwc_rollout.of_string Rwc_rollout.to_string
 
 let rollout_arg =
   Arg.(
@@ -438,14 +419,7 @@ let rollout_arg =
            modulation.  With $(b,none) the run is byte-identical to one \
            without the rollout layer.")
 
-let slo_conv =
-  let parse s =
-    match Rwc_journal.Slo.of_string s with
-    | Ok plan -> Ok plan
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv
-    (parse, fun fmt p -> Format.fprintf fmt "%s" (Rwc_journal.Slo.to_string p))
+let slo_conv = flag_conv Rwc_journal.Slo.of_string Rwc_journal.Slo.to_string
 
 let journal_arg =
   Arg.(
@@ -472,288 +446,6 @@ let slo_arg =
            (keys: availability, class, at-class, flaps-per-day, \
            quarantine).  Verdicts are folded into the report, the manifest \
            and the slo/* metrics.  Works with or without $(b,--journal).")
-
-(* The journal sink a run emits into: --journal opens the file (failing
-   now, not after the run), --slo arms the online tracker, neither
-   yields the disarmed sink. *)
-let journal_sink journal_path slo =
-  (match journal_path with
-  | Some p -> check_writable "--journal" p
-  | None -> ());
-  Rwc_journal.create ?path:journal_path ~slo ()
-
-(* Manifest config entries for the journal, present exactly when the
-   sink is armed so journal-off manifests stay byte-identical. *)
-let journal_manifest_fields jnl journal_path slo =
-  if not (Rwc_journal.armed jnl) then []
-  else
-    [
-      ( "journal",
-        match journal_path with
-        | Some p -> Obs.Json.String p
-        | None -> Obs.Json.Null );
-      ("slo", Obs.Json.String (Rwc_journal.Slo.to_string slo));
-    ]
-
-let backbone_of = function
-  | None -> Rwc_topology.Backbone.north_america
-  | Some path -> (
-      match Rwc_topology.Parser.parse_file path with
-      | Ok t -> t
-      | Error e ->
-          Printf.eprintf "%s: %s\n" path e;
-          exit 2)
-
-let run_simulate () days policy seed faults storm guard rollout journal_path
-    slo backbone_file manifest_path checkpoint checkpoint_every resume progress
-    domains metrics_interval =
-  Option.iter (check_writable "--manifest") manifest_path;
-  let domains = clamp_domains "rwc simulate" domains in
-  if not (Rwc_fault.is_none storm) then begin
-    if checkpoint <> None then begin
-      prerr_endline
-        "rwc simulate: --storm cannot be combined with --checkpoint (storage \
-         faults would damage the artifacts recovery depends on; use rwc \
-         torture for crash-recovery testing)";
-      exit 2
-    end;
-    Rwc_storm.inject (Rwc_fault.compile storm)
-  end;
-  (* Recovery-flag coherence, checked before any expensive work.  A
-     crash fault without a checkpoint directory would kill the run with
-     nothing to restart from; an online SLO tracker without a journal
-     file cannot be rebuilt after a restart (the tracker's state lives
-     in the retained journal prefix). *)
-  if resume && checkpoint = None then begin
-    prerr_endline "rwc simulate: --resume requires --checkpoint DIR";
-    exit 2
-  end;
-  if Rwc_recover.plan_has_crash faults && checkpoint = None then begin
-    prerr_endline
-      "rwc simulate: a crash= fault rule requires --checkpoint DIR (the \
-       restart loop recovers from the newest checkpoint)";
-    exit 2
-  end;
-  if checkpoint <> None && checkpoint_every <= 0 then begin
-    prerr_endline "rwc simulate: --checkpoint-every must be >= 1";
-    exit 2
-  end;
-  (match checkpoint with
-  | Some _ when (not (Rwc_journal.Slo.is_none slo)) && journal_path = None ->
-      prerr_endline
-        "rwc simulate: --checkpoint with an armed --slo requires --journal \
-         (a resumed run rebuilds the online SLO tracker from the journal \
-         file)";
-      exit 2
-  | _ -> ());
-  (* --metrics-interval: instead of one registry snapshot at exit, the
-     --metrics file becomes a JSONL trajectory — a full snapshot at the
-     first due sweep, then one incremental delta per interval. *)
-  let sim_hooks =
-    match metrics_interval with
-    | None -> Rwc_sim.Runner.no_hooks
-    | Some n ->
-        if n <= 0 then begin
-          prerr_endline "rwc simulate: --metrics-interval must be >= 1";
-          exit 2
-        end;
-        let path =
-          match !metrics_dest with
-          | Some p when p <> "-" -> p
-          | _ ->
-              prerr_endline
-                "rwc simulate: --metrics-interval requires --metrics PATH \
-                 (the snapshot trajectory is written there as JSONL)";
-              exit 2
-        in
-        (* The at_exit finalizer keeps only the stderr summary; the file
-           now carries the trajectory, not a final snapshot. *)
-        metrics_dest := Some "-";
-        let oc = open_out path in
-        at_exit (fun () -> try close_out oc with Sys_error _ -> ());
-        let last = ref (Obs.Json.Assoc []) in
-        {
-          Rwc_sim.Runner.no_hooks with
-          Rwc_sim.Runner.on_sweep =
-            Some
-              (fun ~k ~now_s ~events:_ ->
-                if k mod n = 0 then begin
-                  let snap = Obs.Metrics.to_json () in
-                  let delta = Obs.Metrics.snapshot_delta !last snap in
-                  last := snap;
-                  match delta with
-                  | Obs.Json.Assoc [] -> ()
-                  | _ ->
-                      output_string oc
-                        (Obs.Json.to_string
-                           (Obs.Json.Assoc
-                              [
-                                ("now_s", Obs.Json.Float now_s);
-                                ("delta", delta);
-                              ]));
-                      output_char oc '\n';
-                      flush oc
-                end);
-        }
-  in
-  let backbone = backbone_of backbone_file in
-  let config_of jnl =
-    {
-      Rwc_sim.Runner.default_config with
-      Rwc_sim.Runner.days;
-      seed;
-      faults;
-      guard;
-      rollout;
-      journal = jnl;
-      progress;
-      domains;
-      hooks = sim_hooks;
-    }
-  in
-  (* Both the plain and the checkpointed path reduce their results to
-     (policy name, rendered line, report JSON) rows, so printing and
-     the manifest are shared — and byte-identical across them. *)
-  let finish ~jnl ~extra_config rows =
-    List.iter (fun (_, pp, _) -> print_endline pp) rows;
-    match manifest_path with
-    | None -> ()
-    | Some path ->
-        let open Obs.Json in
-        let config = config_of jnl in
-        let manifest =
-          Obs.Manifest.make ~command:"simulate" ~seed
-            ~config:
-              ([
-                 ("days", Float days);
-                ( "te_interval_h",
-                  Float config.Rwc_sim.Runner.te_interval_h );
-                ("wavelengths", Int config.Rwc_sim.Runner.wavelengths);
-                ( "demand_fraction",
-                  Float config.Rwc_sim.Runner.demand_fraction );
-                ("top_demands", Int config.Rwc_sim.Runner.top_demands);
-                ("epsilon", Float config.Rwc_sim.Runner.epsilon);
-                ( "backbone",
-                  String (Option.value backbone_file ~default:"north-america") );
-                ("faults", String (Rwc_fault.to_string faults));
-                ("guard", String (Rwc_guard.to_string guard));
-                ("rollout", String (Rwc_rollout.to_string rollout));
-              ]
-              @ extra_config
-              @ journal_manifest_fields jnl journal_path slo)
-            ~reports:(List.map (fun (name, _, j) -> (name, j)) rows)
-            ~metrics:(manifest_metrics ()) ()
-        in
-        Obs.Manifest.write path manifest
-  in
-  let row_of_report r =
-    ( Rwc_sim.Runner.policy_name r.Rwc_sim.Runner.policy,
-      Format.asprintf "%a" Rwc_sim.Runner.pp_report r,
-      Rwc_sim.Runner.json_of_report r )
-  in
-  match checkpoint with
-  | None ->
-      let jnl = journal_sink journal_path slo in
-      let config = config_of jnl in
-      let reports =
-        match policy with
-        | Some p -> [ Rwc_sim.Runner.run ~config ~backbone p ]
-        | None -> Rwc_sim.Runner.compare_policies ~config ~backbone ()
-      in
-      Rwc_journal.close jnl;
-      finish ~jnl ~extra_config:[] (List.map row_of_report reports)
-  | Some dir -> (
-      match
-        Rwc_recover.create ~dir ~every:checkpoint_every ?journal_path ~slo
-          ~faults ~resume ()
-      with
-      | Error e ->
-          Printf.eprintf "rwc simulate: --checkpoint %s: %s\n" dir e;
-          exit 2
-      | Ok (ctx, resume_from) ->
-          (match resume_from with
-          | Some c ->
-              if c.Rwc_recover.ck_seed <> seed || c.Rwc_recover.ck_days <> days
-              then begin
-                Printf.eprintf
-                  "rwc simulate: --resume: checkpoint in %s belongs to a run \
-                   with seed %d over %g days, not seed %d over %g days\n"
-                  dir c.Rwc_recover.ck_seed c.Rwc_recover.ck_days seed days;
-                exit 2
-              end
-          | None ->
-              if resume then
-                Printf.eprintf
-                  "rwc simulate: --resume: no valid checkpoint in %s; \
-                   starting from scratch\n%!"
-                  dir);
-          (* Resuming reopens the journal truncated to the checkpoint's
-             high-water mark instead of truncating it to zero. *)
-          let jnl =
-            match resume_from with
-            | Some c -> (
-                match journal_path with
-                | None -> Rwc_journal.create ~slo ()
-                | Some p -> (
-                    match
-                      Rwc_journal.resume ~path:p ~slo
-                        ~at:c.Rwc_recover.ck_journal_bytes
-                        ~events:c.Rwc_recover.ck_journal_events ()
-                    with
-                    | Ok j -> j
-                    | Error e ->
-                        Printf.eprintf "rwc simulate: --resume: %s: %s\n" p e;
-                        exit 2))
-            | None -> journal_sink journal_path slo
-          in
-          (* Ctrl-C / SIGTERM cut a final checkpoint at the next sample
-             boundary instead of tearing the state down mid-sweep. *)
-          let handler =
-            Sys.Signal_handle (fun _ -> Rwc_recover.request_stop ctx)
-          in
-          Sys.set_signal Sys.sigint handler;
-          Sys.set_signal Sys.sigterm handler;
-          let policies =
-            match policy with
-            | Some p -> [ p ]
-            | None -> Rwc_sim.Runner.all_policies
-          in
-          let outcomes =
-            try
-              Rwc_sim.Runner.run_recoverable ~config:(config_of jnl) ~backbone
-                ~ctx ~resume_from ~policies ()
-            with Rwc_recover.Interrupted ->
-              Printf.eprintf
-                "rwc simulate: interrupted; checkpoint written to %s — rerun \
-                 the same command with --resume to continue\n"
-                dir;
-              exit 130
-          in
-          if ctx.Rwc_recover.restarts > 0 then
-            Printf.eprintf
-              "rwc simulate: recovered from %d crash restart%s\n"
-              ctx.Rwc_recover.restarts
-              (if ctx.Rwc_recover.restarts = 1 then "" else "s");
-          let rows =
-            List.map
-              (function
-                | Rwc_sim.Runner.Replayed { policy; pp; json } ->
-                    ( Rwc_sim.Runner.policy_name policy,
-                      pp,
-                      match Obs.Json.parse json with
-                      | Ok j -> j
-                      | Error _ -> Obs.Json.Null )
-                | Rwc_sim.Runner.Ran r -> row_of_report r)
-              outcomes
-          in
-          finish ~jnl
-            ~extra_config:
-              [
-                ("checkpoint", Obs.Json.String dir);
-                ("checkpoint_every", Obs.Json.Int checkpoint_every);
-                ("resume", Obs.Json.Bool resume);
-              ]
-            rows)
 
 let days_arg =
   Arg.(value & opt float 21.0 & info [ "days" ] ~docv:"D" ~doc:"Horizon in days.")
@@ -834,6 +526,257 @@ let progress_flag =
            and ETA, redrawn in place.  Purely cosmetic — results are \
            identical with or without it.")
 
+(* ---- the armed run ----------------------------------------------------- *)
+
+(* simulate, serve and chaos all run the paper's throughput simulation;
+   the flags they share parse into one record, and every run is armed
+   from it the same way. *)
+type run_flags = {
+  days : float;
+  policy : Rwc_sim.Runner.policy option;
+  seed : int;
+  faults : Rwc_fault.plan;
+  guard : Rwc_guard.plan;
+  rollout : Rwc_rollout.plan;
+  journal_path : string option;
+  slo : Rwc_journal.Slo.plan;
+  backbone_file : string option;
+  checkpoint : string option;
+  checkpoint_every : int;
+  resume : bool;
+  progress : bool;
+  domains : int;
+}
+
+let run_flags_term ~days ~faults ~recovery =
+  let make days policy seed faults guard rollout journal_path slo
+      backbone_file (checkpoint, checkpoint_every, resume) progress domains =
+    { days; policy; seed; faults; guard; rollout; journal_path; slo;
+      backbone_file; checkpoint; checkpoint_every; resume; progress; domains }
+  in
+  Term.(
+    const make $ days $ policy_arg $ sim_seed_arg $ faults $ guard_arg
+    $ rollout_arg $ journal_arg $ slo_arg $ backbone_file_arg $ recovery
+    $ progress_flag $ domains_arg)
+
+let run_flags =
+  run_flags_term ~days:days_arg ~faults:faults_arg
+    ~recovery:
+      Term.(
+        const (fun c e r -> (c, e, r))
+        $ checkpoint_arg $ checkpoint_every_arg $ resume_flag)
+
+let config_of f journal =
+  {
+    Rwc_sim.Runner.default_config with
+    Rwc_sim.Runner.days = f.days;
+    seed = f.seed;
+    faults = f.faults;
+    guard = f.guard;
+    rollout = f.rollout;
+    journal;
+    progress = f.progress;
+    domains = f.domains;
+  }
+
+let policies_of f =
+  match f.policy with Some p -> [ p ] | None -> Rwc_sim.Runner.all_policies
+
+let backbone_of = function
+  | None -> Rwc_topology.Backbone.north_america
+  | Some path -> (
+      match Rwc_topology.Parser.parse_file path with
+      | Ok t -> t
+      | Error e ->
+          Printf.eprintf "%s: %s\n" path e;
+          exit 2)
+
+(* Validate, then open.  The command's own [checks] (the first
+   [(failed, message)] pair that failed is reported), the shared
+   recovery-flag rules and the --backbone parse run before any file is
+   touched, so a rejected command line truncates no --journal or
+   [outputs] artifact and creates no checkpoint directory.  Only then
+   are the [outputs] checked writable and the run's sinks opened.
+   Returns the flags with --domains clamped, the backbone, the journal
+   sink, and with --checkpoint the recovery context plus the checkpoint
+   to resume from. *)
+let arm_run cmd f ~checks ~outputs =
+  let fail e =
+    Printf.eprintf "%s: %s\n" cmd e;
+    exit 2
+  in
+  let f = { f with domains = clamp_domains cmd f.domains } in
+  List.iter (fun (failed, e) -> if failed then fail e) checks;
+  Result.iter_error fail
+    (Rwc_recover.check_flags ~checkpoint:f.checkpoint
+       ~every:f.checkpoint_every ~resume:f.resume ~faults:f.faults ~slo:f.slo
+       ~journal_path:f.journal_path);
+  let backbone = backbone_of f.backbone_file in
+  List.iter (fun (flag, path) -> Option.iter (check_writable flag) path) outputs;
+  match f.checkpoint with
+  | None -> (
+      match Rwc_journal.create ?path:f.journal_path ~slo:f.slo () with
+      | jnl -> (f, backbone, jnl, None)
+      | exception Sys_error e -> fail ("--journal: " ^ e))
+  | Some dir -> (
+      match
+        Rwc_recover.open_run ~dir ~every:f.checkpoint_every
+          ~journal_path:f.journal_path ~slo:f.slo ~faults:f.faults
+          ~resume:f.resume ~seed:f.seed ~days:f.days
+      with
+      | Error e -> fail e
+      | Ok (ctx, resume_from, jnl) ->
+          if f.resume && resume_from = None then
+            Printf.eprintf
+              "%s: --resume: no valid checkpoint in %s; starting from scratch\n\
+               %!"
+              cmd dir;
+          (f, backbone, jnl, Some (ctx, resume_from)))
+
+(* Manifest config entries for the journal, present exactly when the
+   sink is armed so journal-off manifests stay byte-identical. *)
+let journal_manifest_fields jnl f =
+  if not (Rwc_journal.armed jnl) then []
+  else
+    [
+      ( "journal",
+        match f.journal_path with
+        | Some p -> Obs.Json.String p
+        | None -> Obs.Json.Null );
+      ("slo", Obs.Json.String (Rwc_journal.Slo.to_string f.slo));
+    ]
+
+(* ---- simulate ---------------------------------------------------------- *)
+
+(* --metrics-interval: instead of one registry snapshot at exit, the
+   --metrics file becomes a JSONL trajectory — a full snapshot at the
+   first due sweep, then one incremental delta per interval. *)
+let metrics_trajectory_hooks n =
+  let path = Option.get !metrics_dest in
+  (* The at_exit finalizer keeps only the stderr summary; the file now
+     carries the trajectory, not a final snapshot. *)
+  metrics_dest := Some "-";
+  let oc = open_out path in
+  at_exit (fun () -> try close_out oc with Sys_error _ -> ());
+  let last = ref (Obs.Json.Assoc []) in
+  {
+    Rwc_sim.Runner.no_hooks with
+    Rwc_sim.Runner.on_sweep =
+      Some
+        (fun ~k ~now_s ~events:_ ->
+          if k mod n = 0 then begin
+            let snap = Obs.Metrics.to_json () in
+            let delta = Obs.Metrics.snapshot_delta !last snap in
+            last := snap;
+            match delta with
+            | Obs.Json.Assoc [] -> ()
+            | _ ->
+                output_string oc
+                  (Obs.Json.to_string
+                     (Obs.Json.Assoc
+                        [ ("now_s", Obs.Json.Float now_s); ("delta", delta) ]));
+                output_char oc '\n';
+                flush oc
+          end);
+  }
+
+let run_simulate () f storm manifest_path metrics_interval =
+  let f, backbone, jnl, recovery =
+    arm_run "rwc simulate" f
+      ~outputs:[ ("--manifest", manifest_path) ]
+      ~checks:
+        [
+          ( (not (Rwc_fault.is_none storm)) && f.checkpoint <> None,
+            "--storm cannot be combined with --checkpoint (storage faults \
+             would damage the artifacts recovery depends on; use rwc torture \
+             for crash-recovery testing)" );
+          ( Option.fold ~none:false ~some:(fun n -> n <= 0) metrics_interval,
+            "--metrics-interval must be >= 1" );
+          ( metrics_interval <> None && List.mem !metrics_dest [ None; Some "-" ],
+            "--metrics-interval requires --metrics PATH (the snapshot \
+             trajectory is written there as JSONL)" );
+        ]
+  in
+  if not (Rwc_fault.is_none storm) then
+    Rwc_storm.inject (Rwc_fault.compile storm);
+  let config =
+    {
+      (config_of f jnl) with
+      hooks =
+        (match metrics_interval with
+        | None -> Rwc_sim.Runner.no_hooks
+        | Some n -> metrics_trajectory_hooks n);
+    }
+  in
+  (* Ctrl-C / SIGTERM on a checkpointed run cut a final checkpoint at
+     the next sample boundary instead of tearing the state down
+     mid-sweep. *)
+  Option.iter
+    (fun (ctx, _) ->
+      let handler = Sys.Signal_handle (fun _ -> Rwc_recover.request_stop ctx) in
+      Sys.set_signal Sys.sigint handler;
+      Sys.set_signal Sys.sigterm handler)
+    recovery;
+  let outcomes =
+    try
+      Rwc_sim.Runner.run_policies ~config ~backbone ~recovery ~on_outcome:ignore
+        (policies_of f)
+    with Rwc_recover.Interrupted ->
+      Printf.eprintf
+        "rwc simulate: interrupted; checkpoint written to %s — rerun the \
+         same command with --resume to continue\n"
+        (Option.get f.checkpoint);
+      exit 130
+  in
+  (match recovery with
+  | Some (ctx, _) when ctx.Rwc_recover.restarts > 0 ->
+      Printf.eprintf "rwc simulate: recovered from %d crash restart%s\n"
+        ctx.Rwc_recover.restarts
+        (if ctx.Rwc_recover.restarts = 1 then "" else "s")
+  | _ -> ());
+  (* Plain, checkpointed and resumed runs all reduce to the same rows,
+     so printing and the manifest are byte-identical across them. *)
+  let rows = List.map Rwc_sim.Runner.row_of_outcome outcomes in
+  List.iter (fun (_, pp, _) -> print_endline pp) rows;
+  match manifest_path with
+  | None -> ()
+  | Some path ->
+      let open Obs.Json in
+      let checkpoint_fields =
+        match f.checkpoint with
+        | None -> []
+        | Some dir ->
+            [
+              ("checkpoint", String dir);
+              ("checkpoint_every", Int f.checkpoint_every);
+              ("resume", Bool f.resume);
+            ]
+      in
+      let manifest =
+        Obs.Manifest.make ~command:"simulate" ~seed:f.seed
+          ~config:
+            ([
+               ("days", Float f.days);
+               ("te_interval_h", Float config.Rwc_sim.Runner.te_interval_h);
+               ("wavelengths", Int config.Rwc_sim.Runner.wavelengths);
+               ( "demand_fraction",
+                 Float config.Rwc_sim.Runner.demand_fraction );
+               ("top_demands", Int config.Rwc_sim.Runner.top_demands);
+               ("epsilon", Float config.Rwc_sim.Runner.epsilon);
+               ( "backbone",
+                 String (Option.value f.backbone_file ~default:"north-america")
+               );
+               ("faults", String (Rwc_fault.to_string f.faults));
+               ("guard", String (Rwc_guard.to_string f.guard));
+               ("rollout", String (Rwc_rollout.to_string f.rollout));
+             ]
+            @ checkpoint_fields
+            @ journal_manifest_fields jnl f)
+          ~reports:(List.map (fun (name, _, j) -> (name, j)) rows)
+          ~metrics:(manifest_metrics ()) ()
+      in
+      Obs.Manifest.write path manifest
+
 let sim_metrics_interval_arg =
   Arg.(
     value
@@ -850,10 +793,7 @@ let simulate_cmd =
   Cmd.v
     (Cmd.info "simulate" ~doc:"WAN policy simulation (throughput/availability)")
     Term.(
-      const run_simulate $ obs_term $ days_arg $ policy_arg $ sim_seed_arg
-      $ faults_arg $ storm_arg $ guard_arg $ rollout_arg $ journal_arg
-      $ slo_arg $ backbone_file_arg $ manifest_arg $ checkpoint_arg
-      $ checkpoint_every_arg $ resume_flag $ progress_flag $ domains_arg
+      const run_simulate $ obs_term $ run_flags $ storm_arg $ manifest_arg
       $ sim_metrics_interval_arg)
 
 (* ---- chaos ------------------------------------------------------------- *)
@@ -863,27 +803,31 @@ let simulate_cmd =
    reliable.  Factor 0 is the fault-free baseline every other row is
    compared against. *)
 
-let run_chaos () days seed factors policy guard rollout journal_path slo
-    backbone_file manifest_path json_path crash_rates progress domains =
-  Option.iter (check_writable "--manifest") manifest_path;
-  Option.iter (check_writable "--json") json_path;
-  let domains = clamp_domains "rwc chaos" domains in
+let run_chaos () f factors manifest_path json_path crash_rates =
   let crash_rates = List.sort_uniq compare crash_rates in
-  if List.exists (fun r -> r < 0.0 || r >= 1.0) crash_rates then begin
-    prerr_endline "rwc chaos: --crash must be a probability in [0, 1)";
-    exit 2
-  end;
+  let factors = List.sort_uniq compare factors in
+  let factors = if List.mem 0.0 factors then factors else 0.0 :: factors in
   (* One sink for the whole sweep: every (factor, guard, policy) run
      appends its own Run_start-headed segment, so `rwc explain --run N`
      can pick any of them out of the one file. *)
-  let jnl = journal_sink journal_path slo in
-  let backbone = backbone_of backbone_file in
-  let factors = List.sort_uniq compare factors in
-  let factors = if List.mem 0.0 factors then factors else 0.0 :: factors in
-  if List.exists (fun f -> f < 0.0) factors then begin
-    prerr_endline "rwc chaos: --factor must be >= 0";
-    exit 2
-  end;
+  let f, backbone, jnl, _ =
+    arm_run "rwc chaos" f
+      ~outputs:[ ("--manifest", manifest_path); ("--json", json_path) ]
+      ~checks:
+        [
+          ( List.exists (fun r -> r < 0.0 || r >= 1.0) crash_rates,
+            "--crash must be a probability in [0, 1)" );
+          (List.exists (fun f -> f < 0.0) factors, "--factor must be >= 0");
+        ]
+  in
+  let { days; seed; policy; guard; rollout; _ } = f in
+  let run_each config =
+    List.map (Rwc_sim.Runner.run ~config ~backbone) (policies_of f)
+  in
+  (* The crash-sweep runs: layers off, journal disarmed, no heartbeat. *)
+  let bare =
+    { f with guard = Rwc_guard.none; rollout = Rwc_rollout.none; progress = false }
+  in
   (* With an armed --guard plan every fault level runs twice, guarded
      and unguarded, so the table shows what the safety layer buys (or
      costs) at each level.  The baseline both variants are compared
@@ -902,22 +846,15 @@ let run_chaos () days seed factors policy guard rollout journal_path slo
       if factor = 0.0 then Rwc_fault.none
       else Rwc_fault.scaled Rwc_fault.default ~factor
     in
-    let config =
-      {
-        Rwc_sim.Runner.default_config with
-        Rwc_sim.Runner.days;
-        seed;
-        faults;
-        guard = (if guarded then guard else Rwc_guard.none);
-        rollout = (if gated then rollout else Rwc_rollout.none);
-        journal = jnl;
-        progress;
-        domains;
-      }
-    in
-    match policy with
-    | Some p -> [ Rwc_sim.Runner.run ~config ~backbone p ]
-    | None -> Rwc_sim.Runner.compare_policies ~config ~backbone ()
+    run_each
+      (config_of
+         {
+           f with
+           faults;
+           guard = (if guarded then guard else Rwc_guard.none);
+           rollout = (if gated then rollout else Rwc_rollout.none);
+         }
+         jnl)
   in
   let sweep =
     List.concat_map
@@ -940,14 +877,18 @@ let run_chaos () days seed factors policy guard rollout journal_path slo
     in
     reports
   in
-  let baseline_for p =
-    (List.find (fun r -> r.Rwc_sim.Runner.policy = p) baseline)
-      .Rwc_sim.Runner.delivered_pbit
-  in
-  let degradation_of r =
-    let base = baseline_for r.Rwc_sim.Runner.policy in
+  (* Delivered-volume change of [r], in percent, against the same
+     policy's report in [reports]. *)
+  let pct_vs reports r =
+    let base =
+      (List.find
+         (fun b -> b.Rwc_sim.Runner.policy = r.Rwc_sim.Runner.policy)
+         reports)
+        .Rwc_sim.Runner.delivered_pbit
+    in
     100.0 *. (r.Rwc_sim.Runner.delivered_pbit -. base) /. base
   in
+  let degradation_of = pct_vs baseline in
   Printf.printf
     "chaos sweep: %.1f days, seed %d, plan 'default' scaled per factor\n" days
     seed;
@@ -992,23 +933,14 @@ let run_chaos () days seed factors policy guard rollout journal_path slo
         | Some (_, _, _, reports) -> reports
         | None ->
             (* 1.0 was excluded from --factor: run the crash-free
-               reference once, journal disarmed. *)
-            let config =
-              {
-                Rwc_sim.Runner.default_config with
-                Rwc_sim.Runner.days;
-                seed;
-                faults = Rwc_fault.scaled Rwc_fault.default ~factor:1.0;
-                domains;
-              }
-            in
-            (match policy with
-            | Some p -> [ Rwc_sim.Runner.run ~config ~backbone p ]
-            | None -> Rwc_sim.Runner.compare_policies ~config ~backbone ())
-      in
-      let ref_delivered p =
-        (List.find (fun r -> r.Rwc_sim.Runner.policy = p) reference)
-          .Rwc_sim.Runner.delivered_pbit
+               reference once. *)
+            run_each
+              (config_of
+                 {
+                   bare with
+                   faults = Rwc_fault.scaled Rwc_fault.default ~factor:1.0;
+                 }
+                 Rwc_journal.disarmed)
       in
       List.concat_map
         (fun rate ->
@@ -1030,35 +962,17 @@ let run_chaos () days seed factors policy guard rollout journal_path slo
               Printf.eprintf "rwc chaos: --crash: %s: %s\n" dir e;
               exit 2
           | Ok (ctx, _) ->
-              let config =
-                {
-                  Rwc_sim.Runner.default_config with
-                  Rwc_sim.Runner.days;
-                  seed;
-                  faults;
-                  domains;
-                }
-              in
-              let policies =
-                match policy with
-                | Some p -> [ p ]
-                | None -> Rwc_sim.Runner.all_policies
-              in
               let outcomes =
-                Rwc_sim.Runner.run_recoverable ~config ~backbone ~ctx
-                  ~resume_from:None ~policies ()
+                Rwc_sim.Runner.run_recoverable
+                  ~config:(config_of { bare with faults } Rwc_journal.disarmed)
+                  ~backbone ~ctx ~resume_from:None ~policies:(policies_of f) ()
               in
               rm_rf_dir dir;
               List.filter_map
                 (function
                   | Rwc_sim.Runner.Ran r ->
-                      let base = ref_delivered r.Rwc_sim.Runner.policy in
-                      let vs =
-                        100.0
-                        *. (r.Rwc_sim.Runner.delivered_pbit -. base)
-                        /. base
-                      in
-                      Some (rate, ctx.Rwc_recover.restarts, vs, r)
+                      Some
+                        (rate, ctx.Rwc_recover.restarts, pct_vs reference r, r)
                   | Rwc_sim.Runner.Replayed _ -> None)
                 outcomes)
         crash_rates
@@ -1170,10 +1084,10 @@ let run_chaos () days seed factors policy guard rollout journal_path slo
                ("guard", String (Rwc_guard.to_string guard));
                ("rollout", String (Rwc_rollout.to_string rollout));
                ( "backbone",
-                 String (Option.value backbone_file ~default:"north-america")
+                 String (Option.value f.backbone_file ~default:"north-america")
                );
              ]
-            @ journal_manifest_fields jnl journal_path slo)
+            @ journal_manifest_fields jnl f)
           ~reports:
             (List.concat_map
                (fun (factor, guarded, gated, reports) ->
@@ -1233,11 +1147,14 @@ let chaos_cmd =
   Cmd.v
     (Cmd.info "chaos"
        ~doc:"Sweep fault-injection rates and report throughput degradation")
+    (* The sweep draws its own fault plans and never checkpoints, so
+       chaos has no --faults or recovery flags. *)
     Term.(
-      const run_chaos $ obs_term $ chaos_days_arg $ sim_seed_arg $ factors_arg
-      $ policy_arg $ guard_arg $ rollout_arg $ journal_arg $ slo_arg
-      $ backbone_file_arg $ manifest_arg $ chaos_json_arg $ chaos_crash_arg
-      $ progress_flag $ domains_arg)
+      const run_chaos $ obs_term
+      $ run_flags_term ~days:chaos_days_arg
+          ~faults:(const Rwc_fault.none)
+          ~recovery:(const (None, 96, false))
+      $ factors_arg $ manifest_arg $ chaos_json_arg $ chaos_crash_arg)
 
 (* ---- explain ----------------------------------------------------------- *)
 
@@ -1718,16 +1635,13 @@ let bvt_cmd =
 (* ---- constellation ----------------------------------------------------- *)
 
 let scheme_conv =
-  let parse = function
-    | "qpsk" -> Ok Rwc_optical.Modulation.Qpsk
-    | "8qam" -> Ok Rwc_optical.Modulation.Qam8
-    | "16qam" -> Ok Rwc_optical.Modulation.Qam16
-    | s -> Error (`Msg (Printf.sprintf "unknown scheme %S (qpsk|8qam|16qam)" s))
-  in
-  Arg.conv
-    ( parse,
-      fun fmt s ->
-        Format.fprintf fmt "%s" (Rwc_optical.Modulation.scheme_name s) )
+  flag_conv
+    (function
+      | "qpsk" -> Ok Rwc_optical.Modulation.Qpsk
+      | "8qam" -> Ok Rwc_optical.Modulation.Qam8
+      | "16qam" -> Ok Rwc_optical.Modulation.Qam16
+      | s -> Error (Printf.sprintf "unknown scheme %S (qpsk|8qam|16qam)" s))
+    Rwc_optical.Modulation.scheme_name
 
 let run_constellation () scheme snr symbols seed =
   let rng = Rwc_stats.Rng.create seed in
@@ -2328,124 +2242,44 @@ let torture_cmd =
    state), so a seeded serve run's report and journal are byte-identical
    to the batch run's. *)
 
-let run_serve () days policy seed faults guard rollout journal_path slo
-    backbone_file checkpoint checkpoint_every resume progress domains
-    socket_path stdio metrics_interval max_queue =
-  let domains = clamp_domains "rwc serve" domains in
-  let journal_path =
-    match journal_path with
-    | Some p -> p
-    | None ->
-        prerr_endline
-          "rwc serve: --journal FILE is required (the journal is the \
-           subscribers' catch-up log)";
-        exit 2
+let run_serve () f socket_path stdio metrics_interval max_queue =
+  let f, backbone, jnl, recovery =
+    arm_run "rwc serve" f ~outputs:[]
+      ~checks:
+        [
+          ( f.journal_path = None,
+            "--journal FILE is required (the journal is the subscribers' \
+             catch-up log)" );
+          (socket_path = None && not stdio, "pass --socket PATH or --stdio");
+          ( socket_path <> None && stdio,
+            "--socket and --stdio are mutually exclusive" );
+          (metrics_interval <= 0, "--metrics-interval must be >= 1");
+          (max_queue <= 0, "--max-queue must be >= 1");
+          ( Rwc_recover.plan_has_crash f.faults,
+            "crash= fault rules are not supported (the in-process restart \
+             would swap the journal out from under the live stream); \
+             stopping the daemon and rerunning with --resume is its crash \
+             story" );
+        ]
   in
   let mode =
-    match (socket_path, stdio) with
-    | Some p, false -> Rwc_serve.Daemon.Socket p
-    | None, true -> Rwc_serve.Daemon.Stdio
-    | None, false ->
-        prerr_endline "rwc serve: pass --socket PATH or --stdio";
-        exit 2
-    | Some _, true ->
-        prerr_endline "rwc serve: --socket and --stdio are mutually exclusive";
-        exit 2
+    match socket_path with
+    | Some p -> Rwc_serve.Daemon.Socket p
+    | None -> Rwc_serve.Daemon.Stdio
   in
-  if metrics_interval <= 0 then begin
-    prerr_endline "rwc serve: --metrics-interval must be >= 1";
-    exit 2
-  end;
-  if max_queue <= 0 then begin
-    prerr_endline "rwc serve: --max-queue must be >= 1";
-    exit 2
-  end;
-  if Rwc_recover.plan_has_crash faults then begin
-    prerr_endline
-      "rwc serve: crash= fault rules are not supported (the in-process \
-       restart would swap the journal out from under the live stream); \
-       stopping the daemon and rerunning with --resume is its crash story";
-    exit 2
-  end;
-  if resume && checkpoint = None then begin
-    prerr_endline "rwc serve: --resume requires --checkpoint DIR";
-    exit 2
-  end;
-  if checkpoint <> None && checkpoint_every <= 0 then begin
-    prerr_endline "rwc serve: --checkpoint-every must be >= 1";
-    exit 2
-  end;
   (* The metrics topic streams registry deltas; make sure the registry
      counts even when the operator did not pass --metrics. *)
   Obs.Metrics.enable ();
-  let backbone = backbone_of backbone_file in
-  let policies =
-    match policy with Some p -> [ p ] | None -> Rwc_sim.Runner.all_policies
-  in
-  let config_of jnl =
-    {
-      Rwc_sim.Runner.default_config with
-      Rwc_sim.Runner.days;
-      seed;
-      faults;
-      guard;
-      rollout;
-      journal = jnl;
-      progress;
-      domains;
-    }
-  in
-  match checkpoint with
-  | None ->
-      let jnl = journal_sink (Some journal_path) slo in
-      exit
-        (Rwc_serve.Daemon.serve ~mode ~metrics_interval ~max_queue
-           ~config:(config_of jnl) ~backbone ~policies ~journal_path ~slo
-           ~run_mode:Rwc_serve.Daemon.Fresh ())
-  | Some dir -> (
-      match
-        Rwc_recover.create ~dir ~every:checkpoint_every ~journal_path ~slo
-          ~faults ~resume ()
-      with
-      | Error e ->
-          Printf.eprintf "rwc serve: --checkpoint %s: %s\n" dir e;
-          exit 2
-      | Ok (ctx, resume_from) ->
-          (match resume_from with
-          | Some c ->
-              if c.Rwc_recover.ck_seed <> seed || c.Rwc_recover.ck_days <> days
-              then begin
-                Printf.eprintf
-                  "rwc serve: --resume: checkpoint in %s belongs to a run \
-                   with seed %d over %g days, not seed %d over %g days\n"
-                  dir c.Rwc_recover.ck_seed c.Rwc_recover.ck_days seed days;
-                exit 2
-              end
-          | None ->
-              if resume then
-                Printf.eprintf
-                  "rwc serve: --resume: no valid checkpoint in %s; starting \
-                   from scratch\n%!"
-                  dir);
-          let jnl =
-            match resume_from with
-            | Some c -> (
-                match
-                  Rwc_journal.resume ~path:journal_path ~slo
-                    ~at:c.Rwc_recover.ck_journal_bytes
-                    ~events:c.Rwc_recover.ck_journal_events ()
-                with
-                | Ok j -> j
-                | Error e ->
-                    Printf.eprintf "rwc serve: --resume: %s: %s\n" journal_path
-                      e;
-                    exit 2)
-            | None -> journal_sink (Some journal_path) slo
-          in
-          exit
-            (Rwc_serve.Daemon.serve ~mode ~metrics_interval ~max_queue
-               ~config:(config_of jnl) ~backbone ~policies ~journal_path ~slo
-               ~run_mode:(Rwc_serve.Daemon.Checkpointed (ctx, resume_from)) ()))
+  exit
+    (Rwc_serve.Daemon.serve ~mode ~metrics_interval ~max_queue
+       ~config:(config_of f jnl) ~backbone
+       ~policies:(policies_of f) ~journal_path:(Option.get f.journal_path)
+       ~slo:f.slo
+       ~run_mode:
+         (match recovery with
+         | None -> Rwc_serve.Daemon.Fresh
+         | Some r -> Rwc_serve.Daemon.Checkpointed r)
+       ())
 
 let socket_arg =
   Arg.(
@@ -2486,10 +2320,7 @@ let serve_cmd =
           streams, decision events, SLO verdicts and what-if queries over \
           JSON-RPC")
     Term.(
-      const run_serve $ obs_term $ days_arg $ policy_arg $ sim_seed_arg
-      $ faults_arg $ guard_arg $ rollout_arg $ journal_arg $ slo_arg
-      $ backbone_file_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_flag
-      $ progress_flag $ domains_arg $ socket_arg $ stdio_flag
+      const run_serve $ obs_term $ run_flags $ socket_arg $ stdio_flag
       $ serve_metrics_interval_arg $ serve_max_queue_arg)
 
 (* watch: thin client over the serve socket — one-shot RPCs, a raw

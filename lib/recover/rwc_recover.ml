@@ -775,14 +775,76 @@ let create ~dir ~every ?journal_path ?(slo = Rwc_journal.Slo.none) ~faults
           Ok (ctx, None)
         end
         else
-          match load_resumable ?journal_path dir with
-          | Error e -> Error e
-          | Ok c ->
-              (match c with
-              | Some ck ->
-                  record_resume ~dir ~journal_events:ck.ck_journal_events
-                    ~journal_bytes:ck.ck_journal_bytes
-              | None -> ());
-              Ok (ctx, c))
+          Result.map (fun c -> (ctx, c)) (load_resumable ?journal_path dir))
 
 let request_stop ctx = ctx.stop <- true
+
+(* ---- Opening a checkpointed run -----------------------------------------
+
+   Every front end (simulate, serve, torture) and the in-process crash
+   restart go through these, so the flag rules, the seed/horizon
+   refusal and the journal rewind are each decided once. *)
+
+let check_flags ~checkpoint ~every ~resume ~faults ~slo ~journal_path =
+  match checkpoint with
+  | None when resume -> Error "--resume requires --checkpoint DIR"
+  | None when plan_has_crash faults ->
+      (* A crash fault without a checkpoint directory would kill the
+         run with nothing to restart from. *)
+      Error
+        "a crash= fault rule requires --checkpoint DIR (the restart loop \
+         recovers from the newest checkpoint)"
+  | None -> Ok ()
+  | Some _ when every <= 0 -> Error "--checkpoint-every must be >= 1"
+  | Some _ when (not (Rwc_journal.Slo.is_none slo)) && journal_path = None ->
+      (* The online SLO tracker's state lives in the retained journal
+         prefix, so it cannot be rebuilt after a restart without the
+         file. *)
+      Error
+        "--checkpoint with an armed --slo requires --journal (a resumed run \
+         rebuilds the online SLO tracker from the journal file)"
+  | Some _ -> Ok ()
+
+let check_resume resume_from ~dir ~seed ~days =
+  match resume_from with
+  | Some c when c.ck_seed <> seed || c.ck_days <> days ->
+      Error
+        (Printf.sprintf
+           "--resume: checkpoint in %s belongs to a run with seed %d over %g \
+            days, not seed %d over %g days"
+           dir c.ck_seed c.ck_days seed days)
+  | _ -> Ok ()
+
+let reopen_journal ctx ~events ~bytes =
+  Rwc_journal.resume ?path:ctx.journal_path ~slo:ctx.slo ~at:bytes ~events ()
+
+let open_run ~dir ~every ~journal_path ~slo ~faults ~resume ~seed ~days =
+  let ( let* ) = Result.bind in
+  let* ctx, resume_from =
+    Result.map_error
+      (fun e -> Printf.sprintf "--checkpoint %s: %s" dir e)
+      (create ~dir ~every ?journal_path ~slo ~faults ~resume ())
+  in
+  let* () = check_resume resume_from ~dir ~seed ~days in
+  let* jnl =
+    match resume_from with
+    | Some c ->
+        let* j =
+          Result.map_error
+            (fun e ->
+              Printf.sprintf "--resume: %s: %s"
+                (Option.value journal_path ~default:"journal") e)
+            (reopen_journal ctx ~events:c.ck_journal_events
+               ~bytes:c.ck_journal_bytes)
+        in
+        (* Only an accepted resume, its journal reopened, leaves a
+           provenance mark. *)
+        record_resume ~dir ~journal_events:c.ck_journal_events
+          ~journal_bytes:c.ck_journal_bytes;
+        Ok j
+    | None -> (
+        match Rwc_journal.create ?path:journal_path ~slo () with
+        | j -> Ok j
+        | exception Sys_error e -> Error ("--journal: " ^ e))
+  in
+  Ok (ctx, resume_from, jnl)

@@ -158,17 +158,65 @@ val create :
     scratch start, and the resumed run re-emits byte-identically
     either way).  Otherwise any stale checkpoints are left alone and
     numbering continues past them.  The crash oracle is compiled from
-    [faults] exactly when the plan carries a [crash] rule. *)
+    [faults] exactly when the plan carries a [crash] rule.
+
+    [create] records no resume mark: {!open_run} does, once the
+    checkpoint is accepted.  A caller that resumes through [create]
+    by hand must call {!record_resume} itself to leave one. *)
 
 val request_stop : ctx -> unit
 (** Signal-handler entry point: flags the context so the runner exits
     through a final checkpoint at the next sample boundary. *)
 
+(** {1 Opening a checkpointed run}
+
+    The single entry point every front end ([rwc simulate], [rwc serve],
+    {!Rwc_sim.Torture}) opens a checkpointed run through, and the single
+    journal rewind the in-process crash restart shares with it.  Error
+    texts name the [rwc] flags they concern. *)
+
+val check_flags :
+  checkpoint:string option ->
+  every:int ->
+  resume:bool ->
+  faults:Rwc_fault.plan ->
+  slo:Rwc_journal.Slo.plan ->
+  journal_path:string option ->
+  (unit, string) result
+(** Recovery-flag coherence, decidable before anything is opened:
+    [--resume] and a [crash=] fault rule need a checkpoint directory;
+    with one, the interval must be positive and an armed SLO plan
+    needs a journal file (the tracker is rebuilt from it on resume). *)
+
+val reopen_journal : ctx -> events:int -> bytes:int -> (Rwc_journal.t, string) result
+(** {!Rwc_journal.resume} of [ctx.journal_path] under [ctx.slo] at a
+    high-water mark: the file is truncated back to [bytes] and the
+    event counter restarts at [events]. *)
+
+val open_run :
+  dir:string ->
+  every:int ->
+  journal_path:string option ->
+  slo:Rwc_journal.Slo.plan ->
+  faults:Rwc_fault.plan ->
+  resume:bool ->
+  seed:int ->
+  days:float ->
+  (ctx * checkpoint option * Rwc_journal.t, string) result
+(** {!create}, then the run's journal sink.  A checkpoint cut for
+    another [seed] or [days] is refused (an [Error], with no file
+    touched past what {!create} did).  With an accepted checkpoint the
+    journal is reopened at its marks ({!reopen_journal}) and only then
+    its resume mark recorded ({!record_resume}); otherwise the journal
+    is created fresh (truncating any earlier file).  Hand the three to
+    {!Rwc_sim.Runner.run_policies}. *)
+
 (** {1 Resume provenance}
 
-    Every resume and in-process crash restart appends the journal
-    high-water mark it replayed from to [resumed.txt] in the
-    checkpoint directory — advisory forensics for
+    Every resume ({!open_run}, once the checkpoint is accepted) and
+    in-process crash restart appends the journal high-water mark it
+    replayed from to [resumed.txt] in the checkpoint directory —
+    advisory forensics for
     [rwc explain --recovered], never read by the recovery path
     itself.  {!create} with [resume:false] clears the file (a fresh
     run restarts the journal from byte zero). *)

@@ -63,9 +63,7 @@ module Engine = struct
   let request_shutdown t = t.want_shutdown <- true
   let set_pump t f = t.pump <- f
 
-  let set_stop t ~external_stop ~on_stop =
-    t.external_stop <- external_stop;
-    t.on_stop <- on_stop
+  let set_stop t ~external_stop = t.external_stop <- external_stop
 
   let install t =
     J.set_tee t.journal (fun ~seq r ->
@@ -145,6 +143,24 @@ module Engine = struct
         ("policy", Json.String name);
         ("report", json);
       ]
+
+  (* The one run body for both run modes.  A stop request (SIGTERM,
+     server.shutdown) unwinds through a final checkpoint on a
+     checkpointed run, and through [Shutdown] otherwise. *)
+  let run t ~config ~backbone ~recovery policies =
+    t.on_stop <-
+      (match recovery with
+      | Some (ctx, _) -> fun () -> Rwc_recover.request_stop ctx
+      | None -> fun () -> raise Shutdown);
+    match
+      Runner.run_policies
+        ~config:{ config with Runner.hooks = hooks t }
+        ~backbone ~recovery
+        ~on_outcome:(fun o -> on_policy_done t (Runner.row_of_outcome o))
+        policies
+    with
+    | outcomes -> Some (List.map Runner.row_of_outcome outcomes)
+    | exception (Shutdown | Rwc_recover.Interrupted) -> None
 
   let seal t =
     t.running <- false;
@@ -512,7 +528,7 @@ type transport = Socket of string | Stdio
 
 type run_mode =
   | Fresh
-  | Checkpointed of Rwc_recover.ctx * Rwc_recover.checkpoint option
+  | Checkpointed of (Rwc_recover.ctx * Rwc_recover.checkpoint option)
 
 type client = {
   c_in : Unix.file_descr;
@@ -775,11 +791,6 @@ let rec linger srv stop =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let row_of_report (r : Runner.report) =
-  ( Runner.policy_name r.Runner.policy,
-    Format.asprintf "%a" Runner.pp_report r,
-    Runner.json_of_report r )
-
 let serve ~mode ?(metrics_interval = 96) ?(max_queue = 256) ~config ~backbone
     ~policies ~journal_path ~slo ~run_mode () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -794,66 +805,19 @@ let serve ~mode ?(metrics_interval = 96) ?(max_queue = 256) ~config ~backbone
   let handler = Sys.Signal_handle (fun _ -> stop := true) in
   Sys.set_signal Sys.sigint handler;
   Sys.set_signal Sys.sigterm handler;
-  let on_stop =
-    match run_mode with
-    | Checkpointed (ctx, _) -> fun () -> Rwc_recover.request_stop ctx
-    | Fresh -> fun () -> raise Shutdown
+  Engine.set_stop engine ~external_stop:(fun () -> !stop);
+  let rows =
+    Engine.run engine ~config ~backbone
+      ~recovery:(match run_mode with Fresh -> None | Checkpointed r -> Some r)
+      policies
   in
-  Engine.set_stop engine ~external_stop:(fun () -> !stop) ~on_stop;
-  let config = { config with Runner.hooks = Engine.hooks engine } in
-  let print_rows rows =
-    (* Stdout is the RPC channel in stdio mode; otherwise the report
-       rows print exactly as [rwc simulate] prints them. *)
-    match mode with
-    | Socket _ -> List.iter (fun (_, pp, _) -> print_endline pp) rows
-    | Stdio -> ()
-  in
-  let completed =
-    match run_mode with
-    | Fresh -> (
-        match
-          List.map
-            (fun p ->
-              let row = row_of_report (Runner.run ~config ~backbone p) in
-              Engine.on_policy_done engine row;
-              row)
-            policies
-        with
-        | rows ->
-            J.close config.Runner.journal;
-            print_rows rows;
-            true
-        | exception Shutdown ->
-            J.close config.Runner.journal;
-            false)
-    | Checkpointed (ctx, resume_from) -> (
-        match
-          Runner.run_recoverable ~config ~backbone ~ctx ~resume_from ~policies
-            ()
-        with
-        | outcomes ->
-            let rows =
-              List.map
-                (function
-                  | Runner.Ran r -> row_of_report r
-                  | Runner.Replayed { policy; pp; json } ->
-                      ( Runner.policy_name policy,
-                        pp,
-                        match Json.parse json with
-                        | Ok j -> j
-                        | Error _ -> Json.Null ))
-                outcomes
-            in
-            List.iter (Engine.on_policy_done engine) rows;
-            print_rows rows;
-            true
-        | exception Rwc_recover.Interrupted ->
-            (* run_recoverable cut a final checkpoint and closed the
-               journal before raising: this is the clean-stop path. *)
-            false)
-  in
+  (* Stdout is the RPC channel in stdio mode; otherwise the report rows
+     print exactly as [rwc simulate] prints them. *)
+  (match (mode, rows) with
+  | Socket _, Some rows -> List.iter (fun (_, pp, _) -> print_endline pp) rows
+  | _ -> ());
   Engine.seal engine;
-  if completed then linger srv stop;
+  if Option.is_some rows then linger srv stop;
   (* Best-effort final flush: the seal event, any queued responses. *)
   pump srv;
   shutdown_server srv;

@@ -57,6 +57,21 @@ module Engine : sig
   (** Record a completed policy row [(name, rendered, json)] for
       [fleet.status] and publish a [run-finish] lifecycle event. *)
 
+  val run :
+    t ->
+    config:Rwc_sim.Runner.config ->
+    backbone:Rwc_topology.Backbone.t ->
+    recovery:(Rwc_recover.ctx * Rwc_recover.checkpoint option) option ->
+    Rwc_sim.Runner.policy list ->
+    (string * string * Rwc_obs.Json.t) list option
+  (** The daemon's one run body: {!Rwc_sim.Runner.run_policies} with
+      the engine's {!hooks} in place of [config.hooks], plainly or
+      under [recovery].  Each policy's row goes to {!on_policy_done}
+      the moment it completes, in both modes.  Returns every row, or
+      [None] when a stop request unwound the run — through a final
+      checkpoint on a checkpointed run, through {!Shutdown} otherwise.
+      The journal sink is closed either way. *)
+
   val seal : t -> unit
   (** All runs complete and the journal closed: queries switch to
       file-based fallbacks and a final lifecycle event announces the
@@ -69,10 +84,9 @@ module Engine : sig
   (** The transport pump the sweep hook invokes; a no-op by default so
       an engine without a shell (tests) still runs. *)
 
-  val set_stop : t -> external_stop:(unit -> bool) -> on_stop:(unit -> unit) -> unit
-  (** [external_stop] is polled each sweep (the SIGTERM flag);
-      [on_stop] performs the unwind — {!Rwc_recover.request_stop} on a
-      checkpointed run, raising {!Shutdown} otherwise. *)
+  val set_stop : t -> external_stop:(unit -> bool) -> unit
+  (** [external_stop] is polled each sweep (the SIGTERM flag); a stop
+      unwinds the run as {!run} describes. *)
 
   val dispatch :
     t ->
@@ -95,9 +109,10 @@ type transport = Socket of string  (** Unix socket path. *) | Stdio
 
 type run_mode =
   | Fresh  (** Plain {!Rwc_sim.Runner.run} per policy. *)
-  | Checkpointed of Rwc_recover.ctx * Rwc_recover.checkpoint option
-      (** {!Rwc_sim.Runner.run_recoverable}: SIGTERM cuts a final
-          checkpoint; [--resume] continues an earlier daemon. *)
+  | Checkpointed of (Rwc_recover.ctx * Rwc_recover.checkpoint option)
+      (** A context and resume point from {!Rwc_recover.open_run}:
+          SIGTERM cuts a final checkpoint; [--resume] continues an
+          earlier daemon.  Both modes run through {!Engine.run}. *)
 
 val serve :
   mode:transport ->

@@ -104,11 +104,12 @@ let run_point ~opts ~n_links =
       let journal_path = Filename.concat dir "bench.jsonl" in
       let (), wall_s =
         Metrics.timed (fun () ->
-            let jnl = Rwc_journal.create ~path:journal_path () in
-            let ctx, _ =
+            let ctx, _, jnl =
               match
-                Rwc_recover.create ~dir ~every:24 ~journal_path
-                  ~faults:Rwc_fault.none ~resume:false ()
+                Rwc_recover.open_run ~dir ~every:24
+                  ~journal_path:(Some journal_path) ~slo:Rwc_journal.Slo.none
+                  ~faults:Rwc_fault.none ~resume:false ~seed:opts.seed
+                  ~days:opts.days
               with
               | Ok v -> v
               | Error e -> failwith ("bench: " ^ e)

@@ -1287,12 +1287,10 @@ let run ?(config = default_config) ?(backbone = Backbone.north_america) policy =
     ("sim/run/" ^ policy_name policy)
     (fun () -> run_policy ~config ~backbone policy)
 
-let compare_policies ?config ?backbone () =
-  List.map
-    (run ?config ?backbone)
-    [ Static_100; Static_max; Adaptive Stock; Adaptive Efficient ]
-
 let all_policies = [ Static_100; Static_max; Adaptive Stock; Adaptive Efficient ]
+
+let compare_policies ?config ?backbone () =
+  List.map (run ?config ?backbone) all_policies
 
 type outcome =
   | Replayed of { policy : policy; pp : string; json : string }
@@ -1407,18 +1405,25 @@ let pp_report fmt r =
       Format.fprintf fmt "  slo: met=%3d viol=%3d" s.Rwc_journal.Slo.met
         s.Rwc_journal.Slo.violated
 
-(* Crash-restart driver: runs each policy under an armed recovery
-   context, replaying already-completed policies from their stored
-   renderings, restoring the in-progress one from its checkpoint, and
-   catching {!Rwc_recover.Crashed} to reload the newest valid
-   checkpoint, rewind the journal to its high-water mark and go again.
-   Because the restored state is exactly the uninterrupted run's state
-   at the cut and every downstream draw is deterministic, the final
-   reports and journal are byte-identical to a run that never
-   crashed. *)
-let run_recoverable ?(config = default_config)
-    ?(backbone = Backbone.north_america) ~ctx ~resume_from ~policies () =
-  let jnl = ref config.journal in
+let row_of_outcome = function
+  | Ran r ->
+      (policy_name r.policy, Format.asprintf "%a" pp_report r, json_of_report r)
+  | Replayed { policy; pp; json } ->
+      ( policy_name policy,
+        pp,
+        match Rwc_obs.Json.parse json with
+        | Ok j -> j
+        | Error _ -> Rwc_obs.Json.Null )
+
+(* Crash-restart driver for one policy under an armed recovery context:
+   an already-completed policy is replayed from its stored rendering,
+   the in-progress one is restored from its checkpoint, and
+   {!Rwc_recover.Crashed} reloads the newest valid checkpoint, rewinds
+   the journal to its high-water mark and goes again.  Because the
+   restored state is exactly the uninterrupted run's state at the cut
+   and every downstream draw is deterministic, the final reports and
+   journal are byte-identical to a run that never crashed. *)
+let recoverable ~config ~backbone ~ctx ~resume_from jnl =
   let completed =
     ref
       (match resume_from with
@@ -1439,14 +1444,9 @@ let run_recoverable ?(config = default_config)
       ~completed:!completed ~run:None
   in
   let reopen ~events ~bytes =
-    Rwc_recover.record_resume ~dir:ctx.Rwc_recover.dir ~journal_events:events
-      ~journal_bytes:bytes;
     if Rwc_journal.armed !jnl then begin
       Rwc_journal.close !jnl;
-      match
-        Rwc_journal.resume ?path:ctx.Rwc_recover.journal_path
-          ~slo:ctx.Rwc_recover.slo ~at:bytes ~events ()
-      with
+      match Rwc_recover.reopen_journal ctx ~events ~bytes with
       | Ok j ->
           (* A live-stream tee attached to the replaced sink must
              survive the swap, or subscribers silently stop hearing
@@ -1454,7 +1454,9 @@ let run_recoverable ?(config = default_config)
           Rwc_journal.adopt_tee j ~from:!jnl;
           jnl := j
       | Error e -> failwith ("Runner: cannot reopen journal: " ^ e)
-    end
+    end;
+    Rwc_recover.record_resume ~dir:ctx.Rwc_recover.dir ~journal_events:events
+      ~journal_bytes:bytes
   in
   let run_one p =
     let name = policy_name p in
@@ -1503,12 +1505,34 @@ let run_recoverable ?(config = default_config)
         save_boundary ();
         Ran r
   in
-  match List.map run_one policies with
+  run_one
+
+let run_policies ~config ~backbone ~recovery ~on_outcome policies =
+  let jnl = ref config.journal in
+  let run_one =
+    match recovery with
+    | None -> fun p -> Ran (run ~config ~backbone p)
+    | Some (ctx, resume_from) ->
+        recoverable ~config ~backbone ~ctx ~resume_from jnl
+  in
+  match
+    List.map
+      (fun p ->
+        let o = run_one p in
+        on_outcome o;
+        o)
+      policies
+  with
   | outcomes ->
       Rwc_journal.close !jnl;
       outcomes
   | exception e ->
-      (* Interrupted (and anything else) still flushes the journal; the
-         final checkpoint was cut by the runner before unwinding. *)
+      (* A stop (and anything else) still flushes the journal; a
+         checkpointed run cut its final checkpoint before unwinding. *)
       Rwc_journal.close !jnl;
       raise e
+
+let run_recoverable ?(config = default_config)
+    ?(backbone = Backbone.north_america) ~ctx ~resume_from ~policies () =
+  run_policies ~config ~backbone ~recovery:(Some (ctx, resume_from))
+    ~on_outcome:ignore policies

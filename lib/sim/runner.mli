@@ -223,6 +223,26 @@ type outcome =
           formatting drift; storing both renderings cannot). *)
   | Ran of report  (** Executed (possibly across crash restarts). *)
 
+val row_of_outcome : outcome -> string * string * Rwc_obs.Json.t
+(** [(policy name, rendered report line, report JSON)]: the row every
+    front end prints, records in a manifest or publishes.  A replayed
+    outcome yields the row its original run did. *)
+
+val run_policies :
+  config:config ->
+  backbone:Rwc_topology.Backbone.t ->
+  recovery:(Rwc_recover.ctx * Rwc_recover.checkpoint option) option ->
+  on_outcome:(outcome -> unit) ->
+  policy list ->
+  outcome list
+(** The one driver behind [rwc simulate], [rwc serve] and
+    {!run_recoverable}: each policy in order, plainly ([None]: every
+    outcome is [Ran]) or under the recovery context and the checkpoint
+    to resume from that {!Rwc_recover.open_run} returned.
+    [on_outcome] sees each outcome the moment its policy completes
+    (replayed ones at their turn).  The journal sink is closed before
+    returning or raising. *)
+
 val run_recoverable :
   ?config:config ->
   ?backbone:Rwc_topology.Backbone.t ->
@@ -231,15 +251,14 @@ val run_recoverable :
   policies:policy list ->
   unit ->
   outcome list
-(** Run [policies] under crash-safe checkpointing: periodic checkpoints
+(** {!run_policies} under crash-safe checkpointing: periodic checkpoints
     every [ctx.every] sample sweeps, a final one on
     {!Rwc_recover.request_stop} (then {!Rwc_recover.Interrupted}
     propagates, after the journal is flushed and closed), and automatic
     in-process restarts when the context's [crash=] fault oracle kills
     a run — the newest valid checkpoint is reloaded and the journal
-    truncated to its high-water mark, so the final reports and journal
-    are byte-identical to an uninterrupted run.  [resume_from] (from
-    {!Rwc_recover.create} with [resume:true]) continues an earlier
-    process's run; the caller is responsible for having reopened
-    [config.journal] with {!Rwc_journal.resume} at that checkpoint's
-    marks.  The journal sink is closed before returning. *)
+    rewound with {!Rwc_recover.reopen_journal}, so the final reports and
+    journal are byte-identical to an uninterrupted run.  [resume_from]
+    continues an earlier process's run; [config.journal] must already
+    sit at that checkpoint's marks, which {!Rwc_recover.open_run}
+    guarantees.  The journal sink is closed before returning. *)

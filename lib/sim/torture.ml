@@ -59,37 +59,22 @@ let run ?(days = 0.25) ?(ducts = 12) ?(seed = 7) ?(every = 8)
     }
   in
   let golden_journal = Filename.concat root "golden.jsonl" in
-  (* One checkpointed attempt in [dir]: fresh start or resume, exactly
-     the wiring `rwc simulate --checkpoint [--resume]` uses. *)
+  (* One checkpointed attempt in [dir], fresh or resumed, opened through
+     Rwc_recover.open_run like every other checkpointed run. *)
   let start dir ~resume =
     mkdir_if_missing dir;
-    let ckdir = Filename.concat dir "ck" in
     let jpath = Filename.concat dir "journal.jsonl" in
-    match
-      R.create ~dir:ckdir ~every ~journal_path:jpath
-        ~faults:Rwc_fault.default ~resume ()
-    with
-    | Error e -> Error ("checkpoint context: " ^ e)
-    | Ok (ctx, resume_from) -> (
-        let jnl =
-          match resume_from with
-          | Some c ->
-              J.resume ~path:jpath ~at:c.R.ck_journal_bytes
-                ~events:c.R.ck_journal_events ()
-          | None -> Ok (J.create ~path:jpath ())
-        in
-        match jnl with
-        | Error e -> Error ("journal reopen: " ^ e)
-        | Ok jnl ->
-            let outcomes =
-              Runner.run_recoverable ~config:(config jnl) ~backbone ~ctx
-                ~resume_from ~policies:[ policy ] ()
-            in
-            Ok (outcomes, jpath))
+    R.open_run ~dir:(Filename.concat dir "ck") ~every ~journal_path:(Some jpath)
+      ~slo:J.Slo.none ~faults:Rwc_fault.default ~resume ~seed ~days
+    |> Result.map (fun (ctx, resume_from, jnl) ->
+           ( Runner.run_recoverable ~config:(config jnl) ~backbone ~ctx
+               ~resume_from ~policies:[ policy ] (),
+             jpath ))
   in
   let outcome_pp = function
-    | [ Runner.Ran r ] -> Ok (Format.asprintf "%a" Runner.pp_report r)
-    | [ Runner.Replayed { pp; _ } ] -> Ok pp
+    | [ o ] ->
+        let _, pp, _ = Runner.row_of_outcome o in
+        Ok pp
     | outcomes ->
         Error (Printf.sprintf "expected 1 outcome, got %d" (List.length outcomes))
   in

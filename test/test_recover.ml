@@ -343,6 +343,110 @@ let prop_crash_anywhere_resumes_identically =
           | [ Runner.Ran r ] -> r = reference
           | _ -> false))
 
+(* --- opening a run: flag rules, resume refusal, journal rewind ----------- *)
+
+let test_check_flags () =
+  let ok ?(checkpoint = Some "ck") ?(every = 96) ?(resume = false)
+      ?(faults = Rwc_fault.none) ?(slo = Rwc_journal.Slo.none) ?journal_path
+      () =
+    Result.is_ok
+      (R.check_flags ~checkpoint ~every ~resume ~faults ~slo ~journal_path)
+  in
+  let crash = crash_plan ~rate:0.1 ~seed:1 in
+  Alcotest.(check bool) "no checkpoint" true (ok ~checkpoint:None ());
+  Alcotest.(check bool) "checkpoint" true (ok ());
+  Alcotest.(check bool) "resume" true (ok ~resume:true ());
+  Alcotest.(check bool) "crash with checkpoint" true (ok ~faults:crash ());
+  Alcotest.(check bool)
+    "--resume needs --checkpoint" false
+    (ok ~checkpoint:None ~resume:true ());
+  Alcotest.(check bool)
+    "crash= needs --checkpoint" false
+    (ok ~checkpoint:None ~faults:crash ());
+  Alcotest.(check bool) "--checkpoint-every >= 1" false (ok ~every:0 ());
+  Alcotest.(check bool)
+    "armed --slo needs --journal" false
+    (ok ~slo:Rwc_journal.Slo.default ());
+  Alcotest.(check bool)
+    "armed --slo with --journal" true
+    (ok ~slo:Rwc_journal.Slo.default ~journal_path:"run.jsonl" ())
+
+(* A checkpoint written for seed 7 over 2 days resumes only a run with
+   that seed and horizon, and only an accepted resume is recorded. *)
+let test_resume_refuses_other_seed_or_days () =
+  with_temp_dir (fun dir ->
+      let ctx, _ = make_ctx dir in
+      R.save ctx ~seed:7 ~days:2.0 ~journal_events:0 ~journal_bytes:0
+        ~completed:[] ~run:None;
+      let accepted ~seed ~days =
+        match
+          R.open_run ~dir ~every:16 ~journal_path:None
+            ~slo:Rwc_journal.Slo.none ~faults:Rwc_fault.none ~resume:true
+            ~seed ~days
+        with
+        | Ok (_, Some _, _) -> true
+        | Ok (_, None, _) -> Alcotest.fail "checkpoint not found"
+        | Error _ -> false
+      in
+      Alcotest.(check bool) "seed 8 refused" false (accepted ~seed:8 ~days:2.0);
+      Alcotest.(check bool) "3 days refused" false (accepted ~seed:7 ~days:3.0);
+      Alcotest.(check bool)
+        "a refused resume leaves no mark" true
+        (R.resume_marks dir = []);
+      Alcotest.(check bool) "seed 7 over 2 days" true (accepted ~seed:7 ~days:2.0);
+      Alcotest.(check bool)
+        "the accepted resume is marked" true
+        (R.resume_marks dir = [ (0, 0) ]);
+      Alcotest.(check bool)
+        "a scratch start has nothing to refuse" true
+        (match
+           R.open_run ~dir ~every:16 ~journal_path:None
+             ~slo:Rwc_journal.Slo.none ~faults:Rwc_fault.none ~resume:false
+             ~seed:8 ~days:3.0
+         with
+        | Ok (_, None, _) -> true
+        | _ -> false))
+
+(* Resuming reopens the journal at the checkpoint's marks: whatever the
+   crashed attempt wrote past them is cut away and the event counter
+   restarts at the mark. *)
+let test_open_run_rewinds_journal () =
+  with_temp_dir (fun dir ->
+      let journal = Filename.concat dir "run.jsonl" in
+      let ckdir = Filename.concat dir "ck" in
+      let open_run ~resume =
+        match
+          R.open_run ~dir:ckdir ~every:16 ~journal_path:(Some journal)
+            ~slo:Rwc_journal.Slo.none ~faults:Rwc_fault.none ~resume ~seed:19
+            ~days:0.75
+        with
+        | Ok v -> v
+        | Error e -> Alcotest.failf "open_run: %s" e
+      in
+      let slurp p = In_channel.with_open_bin p In_channel.input_all in
+      let ctx, resume_from, jnl = open_run ~resume:false in
+      ignore
+        (Runner.run_recoverable
+           ~config:(small_config ~seed:19 ~faults:Rwc_fault.none ~journal:jnl ())
+           ~ctx ~resume_from ~policies:[ Runner.Static_100 ] ());
+      let full = slurp journal in
+      Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 journal
+        (fun oc -> Out_channel.output_string oc "{\"torn\":tr");
+      let _, resume_from, jnl = open_run ~resume:true in
+      (match resume_from with
+      | Some c ->
+          Alcotest.(check int)
+            "mark covers the whole run" (String.length full)
+            c.R.ck_journal_bytes;
+          Alcotest.(check int)
+            "event counter restarts at the mark" c.R.ck_journal_events
+            (Rwc_journal.events_emitted jnl)
+      | None -> Alcotest.fail "no checkpoint to resume from");
+      Rwc_journal.close jnl;
+      Alcotest.(check string) "journal cut back to the mark" full (slurp journal);
+      Array.iter (fun n -> Sys.remove (Filename.concat ckdir n)) (Sys.readdir ckdir);
+      Sys.rmdir ckdir)
+
 let suite =
   [
     Alcotest.test_case "codec round-trip" `Quick test_codec_roundtrip;
@@ -360,5 +464,10 @@ let suite =
     Alcotest.test_case "interrupt then resume" `Slow test_interrupt_then_resume;
     Alcotest.test_case "completed policy replays" `Slow
       test_completed_policy_replays;
+    Alcotest.test_case "recovery flag rules" `Quick test_check_flags;
+    Alcotest.test_case "resume refuses other seed or days" `Quick
+      test_resume_refuses_other_seed_or_days;
+    Alcotest.test_case "open_run rewinds the journal" `Slow
+      test_open_run_rewinds_journal;
     QCheck_alcotest.to_alcotest prop_crash_anywhere_resumes_identically;
   ]

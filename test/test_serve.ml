@@ -409,6 +409,71 @@ let test_engine_queries_after_seal () =
   Alcotest.(check int) "unknown method still -32601" (-32601)
     (error_code (call {|{"jsonrpc":"2.0","id":3,"method":"fleet.nope"}|}))
 
+(* --- one run body: lifecycle order in both run modes ------------------------ *)
+
+(* Each policy's run-finish is published the moment it completes, before
+   the next policy's run-start — with and without checkpointing, since
+   both modes go through the one Engine.run body. *)
+let lifecycle_of_run ~checkpointed =
+  let dir = Filename.temp_file "rwc_test_serve_modes" "" in
+  Sys.remove dir;
+  let path = Filename.concat dir "journal.jsonl" in
+  let policies = [ Runner.Static_100; Runner.Adaptive Runner.Efficient ] in
+  let jnl, recovery =
+    if checkpointed then
+      match
+        Rwc_recover.open_run ~dir ~every:16 ~journal_path:(Some path)
+          ~slo:J.Slo.none ~faults:Rwc_fault.none ~resume:false ~seed:7
+          ~days:0.25
+      with
+      | Ok (ctx, resume_from, jnl) -> (jnl, Some (ctx, resume_from))
+      | Error e -> Alcotest.fail e
+    else begin
+      Sys.mkdir dir 0o700;
+      (J.create ~path (), None)
+    end
+  in
+  let engine = D.Engine.create ~journal:jnl ~journal_path:path () in
+  D.Engine.install engine;
+  let sub =
+    Stream.subscribe (D.Engine.hub engine) ~max_queue:64
+      ~topics:[ Stream.Lifecycle ] ()
+  in
+  let config =
+    { Runner.default_config with days = 0.25; seed = 7; journal = jnl }
+  in
+  (match
+     D.Engine.run engine ~config ~backbone:Rwc_topology.Backbone.north_america
+       ~recovery policies
+   with
+  | Some rows -> Alcotest.(check int) "one row per policy" 2 (List.length rows)
+  | None -> Alcotest.fail "run stopped early");
+  Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  List.map
+    (fun env ->
+      let data = jget env "data" in
+      match (jget data "event", jget data "policy") with
+      | Json.String ev, Json.String p -> ev ^ " " ^ p
+      | _ -> Alcotest.fail "malformed lifecycle event")
+    (Stream.drain sub)
+
+let test_finish_published_per_policy () =
+  let expected =
+    [
+      "run-start static-100G";
+      "run-finish static-100G";
+      "run-start adaptive-efficient-bvt";
+      "run-finish adaptive-efficient-bvt";
+    ]
+  in
+  Alcotest.(check (list string))
+    "plain run" expected
+    (lifecycle_of_run ~checkpointed:false);
+  Alcotest.(check (list string))
+    "checkpointed run" expected
+    (lifecycle_of_run ~checkpointed:true)
+
 (* --- satellite: read_from torn-tail discipline ----------------------------- *)
 
 let test_read_from_torn_tail () =
@@ -531,6 +596,8 @@ let suite =
       test_catchup_no_gaps_no_duplicates;
     Alcotest.test_case "queries on a sealed daemon" `Slow
       test_engine_queries_after_seal;
+    Alcotest.test_case "run-finish published per policy, both modes" `Slow
+      test_finish_published_per_policy;
     Alcotest.test_case "read_from skips torn tails" `Quick
       test_read_from_torn_tail;
     Alcotest.test_case "metrics snapshot deltas" `Quick test_snapshot_delta;
