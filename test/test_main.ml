@@ -33,4 +33,5 @@ let () =
       ("figures", Test_figures.suite);
       ("par", Test_par.suite);
       ("rollout", Test_rollout.suite);
+      ("te_oracle", Test_te_oracle.suite);
     ]
