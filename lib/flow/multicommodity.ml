@@ -29,50 +29,50 @@ let solve ?(epsilon = 0.1) g commodities =
     let delta =
       (float_of_int (max m 2) /. (1.0 -. epsilon)) ** (-1.0 /. epsilon)
     in
-    let length = Array.make m 0.0 in
+    (* [length] doubles as the search cost: a zero-capacity edge gets
+       length infinity, which the search never takes, and is left out of
+       the dual and of every length update. *)
+    let length = Array.make m infinity in
     let usable_cap = Array.make m 0.0 in
     Graph.iter_edges
       (fun e ->
         usable_cap.(e.Graph.id) <- e.Graph.capacity;
-        (* Zero-capacity edges are excluded via the [usable] filter in
-           every shortest-path call, so their length is irrelevant —
-           but it must stay finite for the graph construction. *)
-        length.(e.Graph.id) <-
-          (if e.Graph.capacity > 0.0 then delta /. e.Graph.capacity else 0.0))
+        if e.Graph.capacity > 0.0 then
+          length.(e.Graph.id) <- delta /. e.Graph.capacity)
       g;
     (* Per-commodity per-edge flow, so each commodity can be rescaled
        to its own demand independently at the end. *)
     let com_flow = Array.make_matrix n_com (max 1 m) 0.0 in
     let routed_raw = Array.make n_com 0.0 in
     (* The dual objective D(l) = sum over usable edges of length * capacity,
-       folded in edge-id order.  Termination ("D(l) >= 1") is decided on
-       this exact fold, never on an approximation of it. *)
+       summed in edge-id order.  Termination ("D(l) >= 1") is decided on
+       this exact sum, never on an approximation of it. *)
     let dual () =
-      Graph.fold_edges
-        (fun acc e ->
-          if usable_cap.(e.Graph.id) > 0.0 then
-            acc +. (length.(e.Graph.id) *. usable_cap.(e.Graph.id))
-          else acc)
-        0.0 g
+      let acc = ref 0.0 in
+      for e = 0 to m - 1 do
+        if usable_cap.(e) > 0.0 then acc := !acc +. (length.(e) *. usable_cap.(e))
+      done;
+      !acc
     in
     (* Running estimate of D(l), so the test after each augmenting path
-       costs O(path) instead of an O(m) fold.  Pushing f units over edge
+       costs O(path) instead of an O(m) sum.  Pushing f units over edge
        e multiplies l_e by (1 + eps f / c_e), which raises D by exactly
        l_e * eps * f; the estimate adds that for every edge of the path
-       and is resynced to the exact fold at the start of each phase and
-       whenever the fold is taken.
+       and is resynced to the exact sum at the start of each phase and
+       whenever the sum is taken.
 
        Guard band.  Each update's rounding is a few ulps of a term that
        is at most D, and D < 1 + eps while the loop runs, so k updates
        since the last resync leave the estimate within about 6k * 2^-53
-       of the fold (the fold's own rounding included).  A phase makes
-       far fewer than the ~10^9 updates that would take that to 1e-6;
-       the drift seen in practice is about 1e-11.  So while the estimate
-       is below 1 - 1e-6 the fold is certainly below 1 and the estimate
-       is trusted; inside the band the exact fold is recomputed and the
-       "< 1" test is decided on it.  Every termination decision is
-       therefore the one the plain fold-after-every-path loop makes, and
-       the result is bit-identical to it. *)
+       of the exact sum (the sum's own rounding included).  A phase
+       makes far fewer than the ~10^9 updates that would take that to
+       1e-6; the drift seen in practice is about 1e-11.  So while the
+       estimate is below 1 - 1e-6 the exact sum is certainly below 1 and
+       the estimate is trusted; inside the band the exact sum is
+       recomputed and the "< 1" test is decided on it.  Every
+       termination decision is therefore the one the plain
+       sum-after-every-path loop makes, and the result is bit-identical
+       to it. *)
     let estimate = [| 0.0 |] in
     let exact_below_one () =
       let d = dual () in
@@ -80,42 +80,41 @@ let solve ?(epsilon = 0.1) g commodities =
       d < 1.0
     in
     let below_one () = estimate.(0) < 1.0 -. 1e-6 || exact_below_one () in
+    (* One search workspace for the whole solve: an augmenting path
+       costs O(path + search frontier) and allocates nothing. *)
+    let ws = Shortest.workspace g in
+    let path = Shortest.path ws in
     let phases = ref 0 in
     let max_phases = 10_000 in
     while exact_below_one () && !phases < max_phases do
       incr phases;
       Rwc_obs.Metrics.incr m_phases;
-      Array.iteri
-        (fun j c ->
-          let remaining = ref c.demand in
-          (* Shortest path under the current length function — passed
-             as a cost override so the graph is never rebuilt;
-             zero-capacity edges are unusable. *)
-          let usable eid = usable_cap.(eid) > 0.0 in
-          let len eid = length.(eid) in
-          while !remaining > 1e-12 && below_one () do
-            match Shortest.dijkstra ~usable ~cost:len g ~src:c.src ~dst:c.dst with
-            | None -> remaining := 0.0
-            | Some path ->
-                Rwc_obs.Metrics.incr m_paths;
-                let bottleneck =
-                  List.fold_left
-                    (fun acc eid -> Float.min acc usable_cap.(eid))
-                    infinity path
-                in
-                let f = Float.min !remaining bottleneck in
-                List.iter
-                  (fun eid ->
-                    let l = length.(eid) in
-                    com_flow.(j).(eid) <- com_flow.(j).(eid) +. f;
-                    estimate.(0) <- estimate.(0) +. (l *. epsilon *. f);
-                    length.(eid) <-
-                      l *. (1.0 +. (epsilon *. f /. usable_cap.(eid))))
-                  path;
-                routed_raw.(j) <- routed_raw.(j) +. f;
-                remaining := !remaining -. f
-          done)
-        commodities
+      for j = 0 to n_com - 1 do
+        let c = commodities.(j) in
+        let flow_j = com_flow.(j) in
+        let remaining = ref c.demand in
+        while !remaining > 1e-12 && below_one () do
+          let len = Shortest.search ws ~cost:length ~src:c.src ~dst:c.dst in
+          if len < 0 then remaining := 0.0
+          else begin
+            Rwc_obs.Metrics.incr m_paths;
+            let bottleneck = ref infinity in
+            for k = 0 to len - 1 do
+              bottleneck := Float.min !bottleneck usable_cap.(path.(k))
+            done;
+            let f = Float.min !remaining !bottleneck in
+            for k = 0 to len - 1 do
+              let eid = path.(k) in
+              let l = length.(eid) in
+              flow_j.(eid) <- flow_j.(eid) +. f;
+              estimate.(0) <- estimate.(0) +. (l *. epsilon *. f);
+              length.(eid) <- l *. (1.0 +. (epsilon *. f /. usable_cap.(eid)))
+            done;
+            routed_raw.(j) <- routed_raw.(j) +. f;
+            remaining := !remaining -. f
+          end
+        done
+      done
     done;
     (* Scale to feasibility: first a global factor bringing the worst
        edge back within capacity, then a per-commodity cap so nobody

@@ -8,51 +8,158 @@ let path_capacity g p =
     (fun acc e -> Float.min acc (Graph.edge g e).Graph.capacity)
     infinity p
 
-module Pq = struct
-  type 'a t = { mutable data : (float * 'a) array; mutable size : int }
+(* One reusable search state per graph.  Out-adjacency is in CSR form
+   (the edges leaving v are adj.(adj_start.(v)) .. adj.(adj_start.(v+1)
+   - 1), in insertion order).  [dist]/[prev] hold a value only where
+   [seen] carries the current epoch and a vertex is settled only where
+   [settled] does, so starting a search is one increment instead of
+   three n-sized fills.  The heap is a binary min-heap kept as parallel
+   priority/vertex arrays; every search pushes at most once per relaxed
+   edge plus the source, so m + 1 slots never overflow. *)
+type workspace = {
+  adj_start : int array;
+  adj : int array;
+  edge_src : int array;
+  edge_dst : int array;
+  dist : float array;
+  prev : int array;
+  seen : int array;
+  settled : int array;
+  mutable epoch : int;
+  heap_prio : float array;
+  heap_vert : int array;
+  mutable heap_size : int;
+  path : int array;
+}
 
-  let create () = { data = [||]; size = 0 }
-  let is_empty q = q.size = 0
+let workspace g =
+  let n = Graph.n_vertices g and m = Graph.n_edges g in
+  let adj_start = Array.make (n + 1) 0 in
+  let edge_src = Array.make m 0 and edge_dst = Array.make m 0 in
+  Graph.iter_edges
+    (fun e ->
+      edge_src.(e.Graph.id) <- e.Graph.src;
+      edge_dst.(e.Graph.id) <- e.Graph.dst;
+      adj_start.(e.Graph.src + 1) <- adj_start.(e.Graph.src + 1) + 1)
+    g;
+  for v = 1 to n do
+    adj_start.(v) <- adj_start.(v) + adj_start.(v - 1)
+  done;
+  let fill = Array.sub adj_start 0 (max n 1) in
+  let adj = Array.make m 0 in
+  for eid = 0 to m - 1 do
+    let v = edge_src.(eid) in
+    adj.(fill.(v)) <- eid;
+    fill.(v) <- fill.(v) + 1
+  done;
+  let nv = max n 1 in
+  {
+    adj_start;
+    adj;
+    edge_src;
+    edge_dst;
+    dist = Array.make nv infinity;
+    prev = Array.make nv (-1);
+    seen = Array.make nv 0;
+    settled = Array.make nv 0;
+    epoch = 0;
+    heap_prio = Array.make (m + 1) 0.0;
+    heap_vert = Array.make (m + 1) 0;
+    heap_size = 0;
+    path = Array.make nv 0;
+  }
 
-  let push q prio x =
-    if q.size = Array.length q.data then begin
-      let cap = max 32 (2 * q.size) in
-      let bigger = Array.make cap (prio, x) in
-      Array.blit q.data 0 bigger 0 q.size;
-      q.data <- bigger
-    end;
-    q.data.(q.size) <- (prio, x);
-    q.size <- q.size + 1;
-    let i = ref (q.size - 1) in
-    while !i > 0 && fst q.data.((!i - 1) / 2) > fst q.data.(!i) do
-      let p = (!i - 1) / 2 in
-      let tmp = q.data.(p) in
-      q.data.(p) <- q.data.(!i);
-      q.data.(!i) <- tmp;
-      i := p
-    done
+let path ws = ws.path
 
-  let pop q =
-    assert (q.size > 0);
-    let top = q.data.(0) in
-    q.size <- q.size - 1;
-    q.data.(0) <- q.data.(q.size);
-    let i = ref 0 and looping = ref true in
-    while !looping do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let s = ref !i in
-      if l < q.size && fst q.data.(l) < fst q.data.(!s) then s := l;
-      if r < q.size && fst q.data.(r) < fst q.data.(!s) then s := r;
-      if !s = !i then looping := false
-      else begin
-        let tmp = q.data.(!i) in
-        q.data.(!i) <- q.data.(!s);
-        q.data.(!s) <- tmp;
-        i := !s
-      end
+let heap_swap ws a b =
+  let p = ws.heap_prio.(a) and v = ws.heap_vert.(a) in
+  ws.heap_prio.(a) <- ws.heap_prio.(b);
+  ws.heap_vert.(a) <- ws.heap_vert.(b);
+  ws.heap_prio.(b) <- p;
+  ws.heap_vert.(b) <- v
+
+(* Pushes [v] keyed by its current distance (passing the key as a float
+   argument would box it). *)
+let heap_push ws v =
+  let prios = ws.heap_prio in
+  prios.(ws.heap_size) <- ws.dist.(v);
+  ws.heap_vert.(ws.heap_size) <- v;
+  ws.heap_size <- ws.heap_size + 1;
+  let i = ref (ws.heap_size - 1) in
+  while !i > 0 && prios.((!i - 1) / 2) > prios.(!i) do
+    let p = (!i - 1) / 2 in
+    heap_swap ws p !i;
+    i := p
+  done
+
+(* Drops the minimum; the caller has read it from slot 0. *)
+let heap_pop ws =
+  let prios = ws.heap_prio in
+  ws.heap_size <- ws.heap_size - 1;
+  let size = ws.heap_size in
+  prios.(0) <- prios.(size);
+  ws.heap_vert.(0) <- ws.heap_vert.(size);
+  let i = ref 0 and looping = ref true in
+  while !looping do
+    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+    let s = ref !i in
+    if l < size && prios.(l) < prios.(!s) then s := l;
+    if r < size && prios.(r) < prios.(!s) then s := r;
+    if !s = !i then looping := false
+    else begin
+      heap_swap ws !i !s;
+      i := !s
+    end
+  done
+
+let search ws ~cost ~src ~dst =
+  ws.epoch <- ws.epoch + 1;
+  let epoch = ws.epoch in
+  let dist = ws.dist and seen = ws.seen and settled = ws.settled in
+  dist.(src) <- 0.0;
+  seen.(src) <- epoch;
+  ws.heap_size <- 0;
+  heap_push ws src;
+  while ws.heap_size > 0 && settled.(dst) <> epoch do
+    let d = ws.heap_prio.(0) and v = ws.heap_vert.(0) in
+    heap_pop ws;
+    if settled.(v) <> epoch && d <= dist.(v) +. 1e-12 then begin
+      settled.(v) <- epoch;
+      if v <> dst then
+        for k = ws.adj_start.(v) to ws.adj_start.(v + 1) - 1 do
+          let eid = ws.adj.(k) in
+          let c = cost.(eid) in
+          assert (c >= 0.0);
+          let nd = dist.(v) +. c in
+          let w = ws.edge_dst.(eid) in
+          let dw = if seen.(w) = epoch then dist.(w) else infinity in
+          if nd < dw -. 1e-12 then begin
+            dist.(w) <- nd;
+            seen.(w) <- epoch;
+            ws.prev.(w) <- eid;
+            heap_push ws w
+          end
+        done
+    end
+  done;
+  if seen.(dst) <> epoch then -1
+  else begin
+    (* Walk back from dst, then reverse in place. *)
+    let len = ref 0 and v = ref dst in
+    while !v <> src do
+      let eid = ws.prev.(!v) in
+      ws.path.(!len) <- eid;
+      incr len;
+      v := ws.edge_src.(eid)
     done;
-    top
-end
+    let len = !len in
+    for k = 0 to (len / 2) - 1 do
+      let t = ws.path.(k) in
+      ws.path.(k) <- ws.path.(len - 1 - k);
+      ws.path.(len - 1 - k) <- t
+    done;
+    len
+  end
 
 let dijkstra ?(usable = fun _ -> true) ?cost g ~src ~dst =
   let edge_cost =
@@ -60,44 +167,13 @@ let dijkstra ?(usable = fun _ -> true) ?cost g ~src ~dst =
     | Some f -> f
     | None -> fun eid -> (Graph.edge g eid).Graph.cost
   in
-  let n = Graph.n_vertices g in
-  let dist = Array.make n infinity in
-  let prev = Array.make n (-1) in
-  let visited = Array.make n false in
-  dist.(src) <- 0.0;
-  let q = Pq.create () in
-  Pq.push q 0.0 src;
-  while not (Pq.is_empty q) && not visited.(dst) do
-    let d, v = Pq.pop q in
-    if (not visited.(v)) && d <= dist.(v) +. 1e-12 then begin
-      visited.(v) <- true;
-      if v <> dst then
-        List.iter
-          (fun eid ->
-            if usable eid then begin
-              let e = Graph.edge g eid in
-              let c = edge_cost eid in
-              assert (c >= 0.0);
-              let nd = dist.(v) +. c in
-              if nd < dist.(e.Graph.dst) -. 1e-12 then begin
-                dist.(e.Graph.dst) <- nd;
-                prev.(e.Graph.dst) <- eid;
-                Pq.push q nd e.Graph.dst
-              end
-            end)
-          (Graph.out_edges g v)
-    end
-  done;
-  if not (Float.is_finite dist.(dst)) then None
-  else begin
-    let rec rebuild v acc =
-      if v = src then acc
-      else
-        let eid = prev.(v) in
-        rebuild (Graph.edge g eid).Graph.src (eid :: acc)
-    in
-    Some (rebuild dst [])
-  end
+  let ws = workspace g in
+  let cost =
+    Array.init (Graph.n_edges g) (fun eid ->
+        if usable eid then edge_cost eid else infinity)
+  in
+  let len = search ws ~cost ~src ~dst in
+  if len < 0 then None else Some (List.init len (fun k -> ws.path.(k)))
 
 let bellman_ford g ~src =
   let n = Graph.n_vertices g in

@@ -21,11 +21,38 @@ val dijkstra :
   path option
 (** Least-cost path using non-negative edge costs; [usable] filters
     edges (default: all).  [None] when unreachable.  [cost] overrides
-    the per-edge cost without rebuilding the graph — the
-    multicommodity solver re-runs Dijkstra under a length function
-    that changes after every augmentation, and materializing a fresh
-    graph per call dominates solve time at hyperscale fleet widths.
-    The search stops as soon as [dst] is finalized. *)
+    the per-edge cost without rebuilding the graph.  A one-shot
+    {!search}: it builds a {!workspace}, reads [usable] and [cost] once
+    per edge, and searches.  The search stops as soon as [dst] is
+    finalized. *)
+
+(** {2 Reusable search workspace}
+
+    Callers that search the same graph many times under changing costs
+    (the multicommodity solver searches once per augmenting path) build
+    one workspace and call {!search}, which allocates nothing.  Its
+    choices are {!dijkstra}'s exactly: the same heap, pop order, 1e-12
+    comparison slack and insertion-order edge scan, so ties break the
+    same way and the same path comes back. *)
+
+type workspace
+
+val workspace : 'tag Graph.t -> workspace
+(** Search state for the graph as it is now: CSR out-adjacency in
+    insertion order, edge endpoints, epoch-stamped distance and
+    predecessor arrays, a heap of [n_edges + 1] slots and a path buffer.
+    Edges added to the graph later are not seen. *)
+
+val search : workspace -> cost:float array -> src:int -> dst:int -> int
+(** [search ws ~cost ~src ~dst] finds a least-cost path under the
+    id-indexed, non-negative [cost]; an edge of cost [infinity] is never
+    taken, which is how callers mark edges unusable.  Returns the
+    path's number of edges, written in order to the first entries of
+    [path ws], or [-1] when [dst] is unreachable. *)
+
+val path : workspace -> Graph.edge_id array
+(** The buffer the last {!search} wrote its path to; the next search
+    overwrites it. *)
 
 val bellman_ford : 'tag Graph.t -> src:int -> float array
 (** Distances from [src] to every vertex (infinity if unreachable);

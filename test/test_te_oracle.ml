@@ -156,7 +156,36 @@ let test_na_bit_equal () =
         && same_array a.Mc.routed b.Mc.routed))
     [ 0.12; 0.3 ]
 
+(* After warm-up a workspace search allocates nothing: 1000 searches
+   over the north_america TE input's demand pairs, under MCF-style
+   lengths (infinity on zero-capacity edges), add no minor-heap word. *)
+let test_search_no_alloc () =
+  let g, commodities = na_input () in
+  let ws = Shortest.workspace g in
+  let cost =
+    Array.init (Graph.n_edges g) (fun e ->
+        let c = (Graph.edge g e).Graph.capacity in
+        if c > 0.0 then 1.0 /. c else infinity)
+  in
+  let n_com = Array.length commodities in
+  let found = ref 0 in
+  let run k =
+    let c = commodities.(k mod n_com) in
+    if Shortest.search ws ~cost ~src:c.Mc.src ~dst:c.Mc.dst > 0 then incr found
+  in
+  for k = 0 to 99 do
+    run k
+  done;
+  let w0 = Gc.minor_words () in
+  for k = 0 to 999 do
+    run k
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "paths found" true (!found >= 1000);
+  Alcotest.(check (float 0.0)) "minor words" 0.0 words
+
 let suite =
   Alcotest.test_case "north america bit-equal" `Quick test_na_bit_equal
+  :: Alcotest.test_case "workspace search allocates nothing" `Quick test_search_no_alloc
   :: List.map QCheck_alcotest.to_alcotest
        (prop_dijkstra_equal :: List.map prop_solve_bit_equal [ 0.05; 0.1; 0.3; 0.5 ])
