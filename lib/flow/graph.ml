@@ -9,24 +9,32 @@ type 'tag edge = {
   tag : 'tag;
 }
 
+(* Edges live in an id-indexed array grown by doubling (slots past
+   [count] hold filler), so lookup and iteration read it directly.
+   Adjacency is kept newest first, as consing builds it; the
+   insertion-order list a caller sees is cached per vertex until that
+   vertex gains another edge. *)
 type 'tag t = {
   n : int;
-  mutable edges_rev : 'tag edge list;  (* newest first *)
+  mutable edges : 'tag edge array;
   mutable count : int;
-  out_adj : edge_id list array;  (* newest first; reversed on read *)
+  out_adj : edge_id list array;
   in_adj : edge_id list array;
-  mutable cache : 'tag edge array option;  (* id-indexed, built lazily *)
+  out_fwd : edge_id list option array;
+  in_fwd : edge_id list option array;
 }
 
 let create ~n =
   assert (n >= 0);
+  let nv = max n 1 in
   {
     n;
-    edges_rev = [];
+    edges = [||];
     count = 0;
-    out_adj = Array.make (max n 1) [];
-    in_adj = Array.make (max n 1) [];
-    cache = None;
+    out_adj = Array.make nv [];
+    in_adj = Array.make nv [];
+    out_fwd = Array.make nv None;
+    in_fwd = Array.make nv None;
   }
 
 let add_edge t ~src ~dst ~capacity ~cost tag =
@@ -35,34 +43,49 @@ let add_edge t ~src ~dst ~capacity ~cost tag =
   assert (Float.is_finite cost);
   let id = t.count in
   let e = { id; src; dst; capacity; cost; tag } in
-  t.edges_rev <- e :: t.edges_rev;
-  t.count <- t.count + 1;
+  if id = Array.length t.edges then begin
+    let bigger = Array.make (max 8 (2 * id)) e in
+    Array.blit t.edges 0 bigger 0 id;
+    t.edges <- bigger
+  end;
+  t.edges.(id) <- e;
+  t.count <- id + 1;
   t.out_adj.(src) <- id :: t.out_adj.(src);
   t.in_adj.(dst) <- id :: t.in_adj.(dst);
-  t.cache <- None;
+  t.out_fwd.(src) <- None;
+  t.in_fwd.(dst) <- None;
   id
 
 let n_vertices t = t.n
 let n_edges t = t.count
 
-let edge_array t =
-  match t.cache with
-  | Some a -> a
-  | None ->
-      let a = Array.make (max t.count 1) (List.hd t.edges_rev) in
-      List.iter (fun e -> a.(e.id) <- e) t.edges_rev;
-      t.cache <- Some a;
-      a
-
 let edge t id =
   assert (id >= 0 && id < t.count);
-  (edge_array t).(id)
+  t.edges.(id)
 
-let out_edges t v = List.rev t.out_adj.(v)
-let in_edges t v = List.rev t.in_adj.(v)
-let edges t = List.rev t.edges_rev
-let iter_edges f t = List.iter f (edges t)
-let fold_edges f acc t = List.fold_left f acc (edges t)
+let forward fwd rev v =
+  match fwd.(v) with
+  | Some l -> l
+  | None ->
+      let l = List.rev rev.(v) in
+      fwd.(v) <- Some l;
+      l
+
+let out_edges t v = forward t.out_fwd t.out_adj v
+let in_edges t v = forward t.in_fwd t.in_adj v
+let edges t = List.init t.count (fun id -> t.edges.(id))
+
+let iter_edges f t =
+  for id = 0 to t.count - 1 do
+    f t.edges.(id)
+  done
+
+let fold_edges f acc t =
+  let acc = ref acc in
+  for id = 0 to t.count - 1 do
+    acc := f !acc t.edges.(id)
+  done;
+  !acc
 
 let filter t pred =
   let g = create ~n:t.n in

@@ -33,14 +33,23 @@ val n_vertices : _ t -> int
 val n_edges : _ t -> int
 val edge : 'tag t -> edge_id -> 'tag edge
 val out_edges : 'tag t -> int -> edge_id list
-(** Edge ids leaving a vertex, in insertion order. *)
+(** Edge ids leaving a vertex, in insertion order.  The list is cached
+    per vertex: repeated calls allocate nothing until the vertex gains
+    an edge. *)
 
 val in_edges : 'tag t -> int -> edge_id list
+(** Edge ids entering a vertex, in insertion order; cached like
+    {!out_edges}. *)
+
 val edges : 'tag t -> 'tag edge list
-(** All edges in insertion order. *)
+(** All edges in insertion order, as a fresh list. *)
 
 val iter_edges : ('tag edge -> unit) -> 'tag t -> unit
+(** Visits the edges in insertion (id) order, building no list.  Edges
+    added by [f] itself are not visited. *)
+
 val fold_edges : ('acc -> 'tag edge -> 'acc) -> 'acc -> 'tag t -> 'acc
+(** Folds over the edges in insertion (id) order, like {!iter_edges}. *)
 
 val filter : 'tag t -> ('tag edge -> bool) -> 'tag t
 (** Copy of the graph keeping only edges satisfying the predicate.
