@@ -47,17 +47,19 @@ rm -f "$CHAOS_JSON"
 
 echo "== flag-check smoke: a rejected command line leaves its files alone =="
 # Run commands validate every flag before they open a sink: a bad flag
-# must exit 2 without truncating the --journal or --manifest it names
-# or creating the --checkpoint directory.
+# must exit 2 without truncating the --journal, --manifest, --metrics
+# or --trace file it names or creating the --checkpoint directory.
 KEEP_DIR="$(mktemp -d)"
-printf 'precious\n' > "$KEEP_DIR/journal.jsonl"
-printf 'precious\n' > "$KEEP_DIR/manifest.json"
+for F in journal.jsonl manifest.json metrics.json trace.json; do
+  printf 'precious\n' > "$KEEP_DIR/$F"
+done
+OBS_FLAGS="--metrics=$KEEP_DIR/metrics.json --trace $KEEP_DIR/trace.json"
 RC=0
 dune exec bin/rwc.exe -- chaos --days 1 --journal "$KEEP_DIR/journal.jsonl" \
-  --manifest "$KEEP_DIR/manifest.json" --factor=-1 2>/dev/null || RC=$?
+  --manifest "$KEEP_DIR/manifest.json" $OBS_FLAGS --factor=-1 2>/dev/null || RC=$?
 [ "$RC" -eq 2 ]
 RC=0
-dune exec bin/rwc.exe -- simulate --days 1 \
+dune exec bin/rwc.exe -- simulate --days 1 $OBS_FLAGS \
   --journal "$KEEP_DIR/journal.jsonl" --manifest "$KEEP_DIR/manifest.json" \
   --checkpoint "$KEEP_DIR/ckpt" --checkpoint-every 0 2>/dev/null || RC=$?
 [ "$RC" -eq 2 ]
@@ -65,19 +67,20 @@ dune exec bin/rwc.exe -- simulate --days 1 \
 # --resume, for simulate and serve alike.
 for RESUME in "" --resume; do
   RC=0
-  dune exec bin/rwc.exe -- simulate --days 1 \
+  dune exec bin/rwc.exe -- simulate --days 1 $OBS_FLAGS \
     --journal "$KEEP_DIR/journal.jsonl" --manifest "$KEEP_DIR/manifest.json" \
     --checkpoint "$KEEP_DIR/ckpt" $RESUME \
     --backbone "$KEEP_DIR/missing.txt" 2>/dev/null || RC=$?
   [ "$RC" -eq 2 ]
 done
 RC=0
-dune exec bin/rwc.exe -- serve --stdio --days 1 \
+dune exec bin/rwc.exe -- serve --stdio --days 1 $OBS_FLAGS \
   --journal "$KEEP_DIR/journal.jsonl" --checkpoint "$KEEP_DIR/ckpt" \
   --backbone "$KEEP_DIR/missing.txt" < /dev/null 2>/dev/null || RC=$?
 [ "$RC" -eq 2 ]
-[ "$(cat "$KEEP_DIR/journal.jsonl")" = precious ]
-[ "$(cat "$KEEP_DIR/manifest.json")" = precious ]
+for F in journal.jsonl manifest.json metrics.json trace.json; do
+  [ "$(cat "$KEEP_DIR/$F")" = precious ]
+done
 [ ! -e "$KEEP_DIR/ckpt" ]
 rm -rf "$KEEP_DIR"
 

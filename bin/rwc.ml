@@ -25,9 +25,11 @@ let fleet_of ~cables ~years ~seed =
 
 (* Every subcommand composes [obs_term] in front of its own arguments:
    --metrics[=PATH] and --trace PATH enable the process-global
-   registry/tracer up front and register an at_exit finalizer that
-   writes the requested artifacts and prints the stderr summaries once
-   the command is done. *)
+   registry/tracer up front.  The command calls [arm_obs] once its own
+   flag checks have passed; only then are the artifact files created
+   and an at_exit finalizer registered that writes them and prints the
+   stderr summaries once the command is done.  A rejected command line
+   (exit 2 before [arm_obs]) leaves them untouched. *)
 
 let metrics_dest = ref None
 let trace_dest = ref None
@@ -56,13 +58,20 @@ let check_writable flag path =
 let obs_setup metrics trace =
   metrics_dest := metrics;
   trace_dest := trace;
-  (match metrics with
-  | Some path when path <> "-" -> check_writable "--metrics" path
-  | _ -> ());
-  Option.iter (check_writable "--trace") trace;
   if metrics <> None then Obs.Metrics.enable ();
-  if trace <> None then Obs.Trace.enable ();
-  if metrics <> None || trace <> None then at_exit obs_finalize
+  if trace <> None then Obs.Trace.enable ()
+
+let obs_armed = ref false
+
+let arm_obs () =
+  if not !obs_armed then begin
+    obs_armed := true;
+    (match !metrics_dest with
+    | Some path when path <> "-" -> check_writable "--metrics" path
+    | _ -> ());
+    Option.iter (check_writable "--trace") !trace_dest;
+    if !metrics_dest <> None || !trace_dest <> None then at_exit obs_finalize
+  end
 
 let metrics_flag =
   Arg.(
@@ -186,6 +195,7 @@ let run_figures () full only sim_days csv_dir =
       (String.concat ", " known_figures);
     exit 2
   end;
+  arm_obs ();
   if sim_days <> None && not (wants "sim") then
     Printf.eprintf
       "warning: --sim-days has no effect without the sim figure (add --only \
@@ -304,6 +314,7 @@ let figures_cmd =
 (* ---- analyze --------------------------------------------------------- *)
 
 let run_analyze () cables years seed =
+  arm_obs ();
   let fleet = fleet_of ~cables ~years ~seed in
   Printf.printf "analyzing %d links over %.1f years (seed %d)...\n"
     (Rwc_telemetry.Fleet.n_links fleet) years seed;
@@ -594,9 +605,10 @@ let backbone_of = function
 (* Validate, then open.  The command's own [checks] (the first
    [(failed, message)] pair that failed is reported), the shared
    recovery-flag rules and the --backbone parse run before any file is
-   touched, so a rejected command line truncates no --journal or
-   [outputs] artifact and creates no checkpoint directory.  Only then
-   are the [outputs] checked writable and the run's sinks opened.
+   touched, so a rejected command line truncates no --journal,
+   --metrics, --trace or [outputs] artifact and creates no checkpoint
+   directory.  Only then is the observability writer armed, the
+   [outputs] checked writable and the run's sinks opened.
    Returns the flags with --domains clamped, the backbone, the journal
    sink, and with --checkpoint the recovery context plus the checkpoint
    to resume from. *)
@@ -612,6 +624,7 @@ let arm_run cmd f ~checks ~outputs =
        ~every:f.checkpoint_every ~resume:f.resume ~faults:f.faults ~slo:f.slo
        ~journal_path:f.journal_path);
   let backbone = backbone_of f.backbone_file in
+  arm_obs ();
   List.iter (fun (flag, path) -> Option.iter (check_writable flag) path) outputs;
   match f.checkpoint with
   | None -> (
@@ -1259,6 +1272,18 @@ let run_explain () journal_file run_idx link at recovered strict slo rollout_id
     prerr_endline "rwc explain: --at cannot be combined with --rollout";
     exit 2
   end;
+  if follow && (at <> None || run_idx <> None || recovered <> None || strict)
+  then begin
+    prerr_endline
+      "rwc explain: --follow cannot be combined with --at, --run, \
+       --recovered or --strict";
+    exit 2
+  end;
+  if follow && slo <> None then begin
+    prerr_endline "rwc explain: --follow cannot be combined with --slo";
+    exit 2
+  end;
+  arm_obs ();
   (* --rollout ID: keep only the staged-commit chain of that rollout —
      its proposal, waves, gate verdicts and any rollback — dropping the
      per-sample observe/intent noise around it. *)
@@ -1271,16 +1296,6 @@ let run_explain () journal_file run_idx link at recovered strict slo rollout_id
         | _ -> false)
   in
   if follow then begin
-    if at <> None || run_idx <> None || recovered <> None || strict then begin
-      prerr_endline
-        "rwc explain: --follow cannot be combined with --at, --run, \
-         --recovered or --strict";
-      exit 2
-    end;
-    if slo <> None then begin
-      prerr_endline "rwc explain: --follow cannot be combined with --slo";
-      exit 2
-    end;
     let stop = ref false in
     let handler = Sys.Signal_handle (fun _ -> stop := true) in
     Sys.set_signal Sys.sigint handler;
@@ -1597,6 +1612,7 @@ let explain_cmd =
 (* ---- bvt -------------------------------------------------------------- *)
 
 let run_bvt () changes seed =
+  arm_obs ();
   let rng = Rwc_stats.Rng.create seed in
   let measure procedure =
     let t = Rwc_optical.Bvt.create Rwc_optical.Modulation.Qpsk in
@@ -1644,6 +1660,7 @@ let scheme_conv =
     Rwc_optical.Modulation.scheme_name
 
 let run_constellation () scheme snr symbols seed =
+  arm_obs ();
   let rng = Rwc_stats.Rng.create seed in
   let run = Rwc_optical.Constellation.simulate rng scheme ~snr_db:snr ~symbols in
   print_string (Rwc_optical.Constellation.render_ascii run);
@@ -1680,6 +1697,7 @@ let run_detect () trace_path baseline sigma =
       Printf.eprintf "%s: %s\n" trace_path e;
       exit 2
   | Ok trace ->
+      arm_obs ();
       let baseline =
         match baseline with
         | Some b -> b
@@ -1746,6 +1764,7 @@ let run_topology () path =
       Printf.eprintf "%s: %s\n" path e;
       exit 2
   | Ok t ->
+      arm_obs ();
       Printf.printf "%s: %d cities, %d ducts\n" path
         (Rwc_topology.Backbone.n_cities t)
         (Array.length t.Rwc_topology.Backbone.ducts);
@@ -1783,6 +1802,7 @@ let topology_cmd =
 
 let run_export () dir cables years seed max_links =
   ensure_dir "export" dir;
+  arm_obs ();
   let fleet = fleet_of ~cables ~years ~seed in
   let n = Rwc_telemetry.Store.export_fleet_csv ?max_links fleet ~dir in
   let open Obs.Json in
@@ -2048,6 +2068,7 @@ let run_fsck () journal checkpoints dry_run json_path =
     exit 2
   end;
   Option.iter (check_writable "--json") json_path;
+  arm_obs ();
   match Rwc_fsck.scan ~repair:(not dry_run) ?journal ?checkpoints () with
   | Error e ->
       Printf.eprintf "rwc fsck: %s\n" e;
@@ -2119,6 +2140,7 @@ let run_torture () days ducts seed every quick sample keep rollout json_path =
     | Some _ as s -> s
     | None -> if quick then Some 8 else None
   in
+  arm_obs ();
   let root = fresh_temp_dir "rwc-torture" in
   let cleanup () =
     if keep then Printf.printf "torture artifacts kept in %s\n" root
@@ -2335,6 +2357,16 @@ let run_watch () socket_path raw from topics max_queue max_events rpc_meth
         prerr_endline "rwc watch: --socket PATH is required";
         exit 2
   in
+  let params =
+    match (rpc_meth, rpc_params) with
+    | Some _, Some s -> (
+        match Obs.Json.parse s with
+        | Ok j -> Some j
+        | Error e ->
+            Printf.eprintf "rwc watch: --params: %s\n" e;
+            exit 2)
+    | _ -> None
+  in
   let module C = Rwc_serve.Daemon.Client in
   let client =
     (* The daemon may still be binding its socket: retry briefly. *)
@@ -2354,6 +2386,7 @@ let run_watch () socket_path raw from topics max_queue max_events rpc_meth
     in
     conn 20
   in
+  arm_obs ();
   let fail msg =
     Printf.eprintf "rwc watch: %s\n" msg;
     C.close client;
@@ -2361,16 +2394,6 @@ let run_watch () socket_path raw from topics max_queue max_events rpc_meth
   in
   match rpc_meth with
   | Some meth -> (
-      let params =
-        match rpc_params with
-        | None -> None
-        | Some s -> (
-            match Obs.Json.parse s with
-            | Ok j -> Some j
-            | Error e ->
-                Printf.eprintf "rwc watch: --params: %s\n" e;
-                exit 2)
-      in
       match C.call client ~meth ?params () with
       | Ok r ->
           print_endline (Obs.Json.to_string r);
