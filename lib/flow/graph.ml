@@ -9,81 +9,81 @@ type 'tag edge = {
   tag : 'tag;
 }
 
-(* Edges live in an id-indexed array grown by doubling (slots past
-   [count] hold filler), so lookup and iteration read it directly.
-   Adjacency is kept newest first, as consing builds it; the
-   insertion-order list a caller sees is cached per vertex until that
-   vertex gains another edge. *)
+(* Edges are consed newest first; the id-indexed edge array and the
+   insertion-order adjacency lists are built from them on first use and
+   dropped by the next [add_edge].  Building a graph stays a cons per
+   edge, and reading a built one allocates nothing. *)
 type 'tag t = {
   n : int;
-  mutable edges : 'tag edge array;
+  mutable edges_rev : 'tag edge list;
   mutable count : int;
-  out_adj : edge_id list array;
-  in_adj : edge_id list array;
-  out_fwd : edge_id list option array;
-  in_fwd : edge_id list option array;
+  mutable cache : 'tag edge array option;
+  mutable adj : (edge_id list array * edge_id list array) option;
 }
 
 let create ~n =
   assert (n >= 0);
-  let nv = max n 1 in
-  {
-    n;
-    edges = [||];
-    count = 0;
-    out_adj = Array.make nv [];
-    in_adj = Array.make nv [];
-    out_fwd = Array.make nv None;
-    in_fwd = Array.make nv None;
-  }
+  { n; edges_rev = []; count = 0; cache = None; adj = None }
 
 let add_edge t ~src ~dst ~capacity ~cost tag =
   assert (src >= 0 && src < t.n && dst >= 0 && dst < t.n);
   assert (capacity >= 0.0 && Float.is_finite capacity);
   assert (Float.is_finite cost);
   let id = t.count in
-  let e = { id; src; dst; capacity; cost; tag } in
-  if id = Array.length t.edges then begin
-    let bigger = Array.make (max 8 (2 * id)) e in
-    Array.blit t.edges 0 bigger 0 id;
-    t.edges <- bigger
-  end;
-  t.edges.(id) <- e;
+  t.edges_rev <- { id; src; dst; capacity; cost; tag } :: t.edges_rev;
   t.count <- id + 1;
-  t.out_adj.(src) <- id :: t.out_adj.(src);
-  t.in_adj.(dst) <- id :: t.in_adj.(dst);
-  t.out_fwd.(src) <- None;
-  t.in_fwd.(dst) <- None;
+  t.cache <- None;
+  t.adj <- None;
   id
 
 let n_vertices t = t.n
 let n_edges t = t.count
 
+let build_edge_array t =
+  match t.edges_rev with
+  | [] -> [||]
+  | last :: _ ->
+      let a = Array.make t.count last in
+      List.iter (fun e -> a.(e.id) <- e) t.edges_rev;
+      t.cache <- Some a;
+      a
+
+let edge_array t = match t.cache with Some a -> a | None -> build_edge_array t
+
 let edge t id =
   assert (id >= 0 && id < t.count);
-  t.edges.(id)
+  (edge_array t).(id)
 
-let forward fwd rev v =
-  match fwd.(v) with
-  | Some l -> l
+(* Out- and in-edge id lists per vertex, in insertion order. *)
+let adjacency t =
+  match t.adj with
+  | Some adj -> adj
   | None ->
-      let l = List.rev rev.(v) in
-      fwd.(v) <- Some l;
-      l
+      let out_adj = Array.make (max t.n 1) [] in
+      let in_adj = Array.make (max t.n 1) [] in
+      let es = edge_array t in
+      for id = Array.length es - 1 downto 0 do
+        let e = es.(id) in
+        out_adj.(e.src) <- id :: out_adj.(e.src);
+        in_adj.(e.dst) <- id :: in_adj.(e.dst)
+      done;
+      t.adj <- Some (out_adj, in_adj);
+      (out_adj, in_adj)
 
-let out_edges t v = forward t.out_fwd t.out_adj v
-let in_edges t v = forward t.in_fwd t.in_adj v
-let edges t = List.init t.count (fun id -> t.edges.(id))
-
+let out_edges t v = (fst (adjacency t)).(v)
+let in_edges t v = (snd (adjacency t)).(v)
+let edges t = Array.to_list (edge_array t)
 let iter_edges f t =
-  for id = 0 to t.count - 1 do
-    f t.edges.(id)
+  let a = edge_array t in
+  for id = 0 to Array.length a - 1 do
+    f a.(id)
   done
 
 let fold_edges f acc t =
+  let a = edge_array t in
   let acc = ref acc in
-  for id = 0 to t.count - 1 do
-    acc := f !acc t.edges.(id)
+  for id = 0 to Array.length a - 1 do
+    acc := f !acc a.(id)
   done;
   !acc
 

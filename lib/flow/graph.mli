@@ -33,9 +33,9 @@ val n_vertices : _ t -> int
 val n_edges : _ t -> int
 val edge : 'tag t -> edge_id -> 'tag edge
 val out_edges : 'tag t -> int -> edge_id list
-(** Edge ids leaving a vertex, in insertion order.  The list is cached
-    per vertex: repeated calls allocate nothing until the vertex gains
-    an edge. *)
+(** Edge ids leaving a vertex, in insertion order.  The lists of all
+    vertices are built on the first call after an [add_edge] and then
+    shared: repeated calls allocate nothing. *)
 
 val in_edges : 'tag t -> int -> edge_id list
 (** Edge ids entering a vertex, in insertion order; cached like

@@ -161,6 +161,9 @@ let search ws ~cost ~src ~dst =
     len
   end
 
+let path_of ws len =
+  if len < 0 then None else Some (List.init len (fun k -> ws.path.(k)))
+
 let dijkstra ?(usable = fun _ -> true) ?cost g ~src ~dst =
   let edge_cost =
     match cost with
@@ -172,8 +175,7 @@ let dijkstra ?(usable = fun _ -> true) ?cost g ~src ~dst =
     Array.init (Graph.n_edges g) (fun eid ->
         if usable eid then edge_cost eid else infinity)
   in
-  let len = search ws ~cost ~src ~dst in
-  if len < 0 then None else Some (List.init len (fun k -> ws.path.(k)))
+  path_of ws (search ws ~cost ~src ~dst)
 
 let bellman_ford g ~src =
   let n = Graph.n_vertices g in
@@ -199,10 +201,15 @@ let bellman_ford g ~src =
   done;
   dist
 
-(* Yen's k-shortest loopless paths. *)
+(* Yen's k-shortest loopless paths.  Every search runs on one
+   workspace: a spur search masks its removed edges by setting their
+   cost to infinity, and restores them afterwards. *)
 let k_shortest g ~src ~dst ~k =
   assert (k >= 0);
-  match dijkstra g ~src ~dst with
+  let ws = workspace g in
+  let base = Array.init (Graph.n_edges g) (fun eid -> (Graph.edge g eid).Graph.cost) in
+  let cost = Array.copy base in
+  match path_of ws (search ws ~cost ~src ~dst) with
   | None -> []
   | Some first ->
       let vertices_of p =
@@ -241,13 +248,16 @@ let k_shortest g ~src ~dst ~k =
           in
           let root_vertices = Array.to_list (Array.sub last_vertices 0 (i + 1)) in
           let root_interior = List.filter (fun v -> v <> spur) root_vertices in
-          let usable eid =
-            let e = Graph.edge g eid in
-            (not (List.mem eid banned_edges))
-            && (not (List.mem e.Graph.dst root_interior))
-            && not (List.mem e.Graph.src root_interior)
+          let masked =
+            banned_edges
+            @ List.concat_map
+                (fun v -> Graph.out_edges g v @ Graph.in_edges g v)
+                root_interior
           in
-          match dijkstra ~usable g ~src:spur ~dst with
+          List.iter (fun eid -> cost.(eid) <- infinity) masked;
+          let spur_path = path_of ws (search ws ~cost ~src:spur ~dst) in
+          List.iter (fun eid -> cost.(eid) <- base.(eid)) masked;
+          match spur_path with
           | None -> ()
           | Some spur_path -> add_candidate (root @ spur_path)
         done;

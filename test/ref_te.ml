@@ -1,10 +1,10 @@
 (* Reference implementations for the bit-equality oracle
-   (test_te_oracle.ml): the list-based Dijkstra and the Garg-Könemann
-   solver exactly as they were before the solver's hot loop was rebuilt
-   around an incremental dual and a reusable search workspace.  The
-   bodies are verbatim, apart from the module qualification, so the fast
-   code can be checked against them bit for bit; nothing outside the
-   tests uses them. *)
+   (test_te_oracle.ml): the list-based Dijkstra, Yen's k-shortest paths
+   over it and the Garg-Könemann solver, exactly as they were before
+   the search moved onto a reusable workspace and the solver's dual
+   became incremental.  The bodies are verbatim, apart from the module
+   qualification, so the fast code can be checked against them bit for
+   bit; nothing outside the tests uses them. *)
 
 open Rwc_flow
 
@@ -99,6 +99,71 @@ module Shortest_ref = struct
       in
       Some (rebuild dst [])
     end
+
+  (* Yen's k-shortest loopless paths. *)
+  let k_shortest g ~src ~dst ~k =
+    assert (k >= 0);
+    match dijkstra g ~src ~dst with
+    | None -> []
+    | Some first ->
+        let vertices_of p =
+          src :: List.map (fun eid -> (Graph.edge g eid).Graph.dst) p
+        in
+        let accepted = ref [ first ] in
+        let candidates = ref [] in
+        (* Candidate paths, deduplicated by edge-id list. *)
+        let add_candidate p =
+          let cost = Shortest.path_cost g p in
+          if not (List.exists (fun (_, q) -> q = p) !candidates) then
+            candidates := (cost, p) :: !candidates
+        in
+        let rec take_prefix p i =
+          if i = 0 then [] else match p with
+            | [] -> []
+            | e :: rest -> e :: take_prefix rest (i - 1)
+        in
+        let finished = ref false in
+        while List.length !accepted < k && not !finished do
+          let last = List.hd !accepted in
+          let last_vertices = Array.of_list (vertices_of last) in
+          (* Branch at every spur node of the previous path. *)
+          for i = 0 to Array.length last_vertices - 2 do
+            let spur = last_vertices.(i) in
+            let root = take_prefix last i in
+            (* Edges removed: any edge that some accepted path with the
+               same root uses to leave the spur node, plus edges into
+               root vertices (looplessness). *)
+            let banned_edges =
+              List.filter_map
+                (fun p ->
+                  let prefix = take_prefix p i in
+                  if prefix = root then List.nth_opt p i else None)
+                !accepted
+            in
+            let root_vertices = Array.to_list (Array.sub last_vertices 0 (i + 1)) in
+            let root_interior = List.filter (fun v -> v <> spur) root_vertices in
+            let usable eid =
+              let e = Graph.edge g eid in
+              (not (List.mem eid banned_edges))
+              && (not (List.mem e.Graph.dst root_interior))
+              && not (List.mem e.Graph.src root_interior)
+            in
+            match dijkstra ~usable g ~src:spur ~dst with
+            | None -> ()
+            | Some spur_path -> add_candidate (root @ spur_path)
+          done;
+          (* Pull the cheapest unused candidate. *)
+          let unused =
+            List.filter (fun (_, p) -> not (List.mem p !accepted)) !candidates
+          in
+          match List.sort (fun (a, _) (b, _) -> compare a b) unused with
+          | [] -> finished := true
+          | (_, best) :: _ -> accepted := best :: !accepted
+        done;
+        let sorted =
+          List.sort (fun a b -> compare (Shortest.path_cost g a) (Shortest.path_cost g b)) !accepted
+        in
+        take_prefix sorted k
 end
 
 module Multicommodity_ref = struct

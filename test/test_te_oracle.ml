@@ -91,11 +91,11 @@ let prop_solve_bit_equal epsilon =
       && same_array a.Mc.flow b.Mc.flow
       && same_array a.Mc.routed b.Mc.routed)
 
-(* Every ordered pair, under the graph's own costs, under a cost
-   override with ties and with a usable filter dropping zero-capacity
-   edges, as the solver searches. *)
+(* Every ordered pair: Dijkstra under the graph's own costs and under a
+   cost override with ties plus a usable filter dropping zero-capacity
+   edges, as the solver searches, and Yen's four shortest paths. *)
 let prop_dijkstra_equal =
-  QCheck.Test.make ~name:"dijkstra paths equal the reference search" ~count:300
+  QCheck.Test.make ~name:"dijkstra and yen paths equal the reference search" ~count:300
     (QCheck.make gen_spec ~print:print_spec) (fun spec ->
       let g = build spec in
       let usable eid = (Graph.edge g eid).Graph.capacity > 0.0 in
@@ -108,7 +108,11 @@ let prop_dijkstra_equal =
             same (Shortest.dijkstra g ~src ~dst) (Ref_te.Shortest_ref.dijkstra g ~src ~dst);
             same
               (Shortest.dijkstra ~usable ~cost g ~src ~dst)
-              (Ref_te.Shortest_ref.dijkstra ~usable ~cost g ~src ~dst)
+              (Ref_te.Shortest_ref.dijkstra ~usable ~cost g ~src ~dst);
+            if
+              Shortest.k_shortest g ~src ~dst ~k:4
+              <> Ref_te.Shortest_ref.k_shortest g ~src ~dst ~k:4
+            then ok := false
           end
         done
       done;
