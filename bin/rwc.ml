@@ -1283,7 +1283,6 @@ let run_explain () journal_file run_idx link at recovered strict slo rollout_id
     prerr_endline "rwc explain: --follow cannot be combined with --slo";
     exit 2
   end;
-  arm_obs ();
   (* --rollout ID: keep only the staged-commit chain of that rollout —
      its proposal, waves, gate verdicts and any rollback — dropping the
      per-sample observe/intent noise around it. *)
@@ -1296,6 +1295,7 @@ let run_explain () journal_file run_idx link at recovered strict slo rollout_id
         | _ -> false)
   in
   if follow then begin
+    arm_obs ();
     let stop = ref false in
     let handler = Sys.Signal_handle (fun _ -> stop := true) in
     Sys.set_signal Sys.sigint handler;
@@ -1379,6 +1379,7 @@ let run_explain () journal_file run_idx link at recovered strict slo rollout_id
             Printf.eprintf "rwc explain: --run %d out of range (1..%d)\n" i nseg;
             exit 2
       in
+      arm_obs ();
       let seg_pairs = List.nth indexed_segs (idx - 1) in
       let seg = List.map snd seg_pairs in
       (match

@@ -28,7 +28,17 @@ val solve :
 (** [solve ?epsilon g commodities] with [epsilon] in (0, 0.5], default
     0.1.  Commodities must have positive demand and distinct
     [src <> dst].  Smaller epsilon = tighter approximation, more
-    shortest-path iterations. *)
+    shortest-path iterations.
+
+    Per augmenting path the solver does O(path + search frontier) work
+    and allocates nothing: one {!Shortest.workspace} serves every search
+    of the solve, and the dual objective D(l) = sum of length * capacity
+    is tracked incrementally instead of re-summed over all edges.
+    Guard-band invariant: the running estimate decides "D(l) < 1" only
+    while it is below [1 - 1e-6], far outside its rounding drift; inside
+    that band the exact sum over the edges in id order decides.  So
+    every termination decision, and every bit of the result, is the one
+    an exact re-sum after each path gives. *)
 
 val total_throughput : result -> float
 (** Sum of shipped amounts over commodities. *)
