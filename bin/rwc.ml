@@ -61,17 +61,12 @@ let obs_setup metrics trace =
   if metrics <> None then Obs.Metrics.enable ();
   if trace <> None then Obs.Trace.enable ()
 
-let obs_armed = ref false
-
 let arm_obs () =
-  if not !obs_armed then begin
-    obs_armed := true;
-    (match !metrics_dest with
-    | Some path when path <> "-" -> check_writable "--metrics" path
-    | _ -> ());
-    Option.iter (check_writable "--trace") !trace_dest;
-    if !metrics_dest <> None || !trace_dest <> None then at_exit obs_finalize
-  end
+  (match !metrics_dest with
+  | Some path when path <> "-" -> check_writable "--metrics" path
+  | _ -> ());
+  Option.iter (check_writable "--trace") !trace_dest;
+  if !metrics_dest <> None || !trace_dest <> None then at_exit obs_finalize
 
 let metrics_flag =
   Arg.(
@@ -1272,17 +1267,6 @@ let run_explain () journal_file run_idx link at recovered strict slo rollout_id
     prerr_endline "rwc explain: --at cannot be combined with --rollout";
     exit 2
   end;
-  if follow && (at <> None || run_idx <> None || recovered <> None || strict)
-  then begin
-    prerr_endline
-      "rwc explain: --follow cannot be combined with --at, --run, \
-       --recovered or --strict";
-    exit 2
-  end;
-  if follow && slo <> None then begin
-    prerr_endline "rwc explain: --follow cannot be combined with --slo";
-    exit 2
-  end;
   (* --rollout ID: keep only the staged-commit chain of that rollout —
      its proposal, waves, gate verdicts and any rollback — dropping the
      per-sample observe/intent noise around it. *)
@@ -1295,6 +1279,16 @@ let run_explain () journal_file run_idx link at recovered strict slo rollout_id
         | _ -> false)
   in
   if follow then begin
+    if at <> None || run_idx <> None || recovered <> None || strict then begin
+      prerr_endline
+        "rwc explain: --follow cannot be combined with --at, --run, \
+         --recovered or --strict";
+      exit 2
+    end;
+    if slo <> None then begin
+      prerr_endline "rwc explain: --follow cannot be combined with --slo";
+      exit 2
+    end;
     arm_obs ();
     let stop = ref false in
     let handler = Sys.Signal_handle (fun _ -> stop := true) in

@@ -73,6 +73,7 @@ let adjacency t =
 let out_edges t v = (fst (adjacency t)).(v)
 let in_edges t v = (snd (adjacency t)).(v)
 let edges t = Array.to_list (edge_array t)
+
 let iter_edges f t =
   let a = edge_array t in
   for id = 0 to Array.length a - 1 do
