@@ -30,10 +30,11 @@ val dijkstra :
 
     Callers that search the same graph many times under changing costs
     (the multicommodity solver searches once per augmenting path) build
-    one workspace and call {!search}, which allocates nothing.  Its
-    choices are {!dijkstra}'s exactly: the same heap, pop order, 1e-12
-    comparison slack and insertion-order edge scan, so ties break the
-    same way and the same path comes back. *)
+    one workspace and call {!search}, which allocates nothing.  Ties
+    break deterministically: a binary min-heap keyed by distance, a
+    1e-12 slack in the settle and relax comparisons, and each vertex's
+    edges scanned in insertion order, so the same costs always give the
+    same path ({!dijkstra} and {!k_shortest} run on it too). *)
 
 type workspace
 
